@@ -9,7 +9,9 @@ footprint-invalidated abstraction cache + word-diff re-interpretation,
 pre-refactor full-recompute path (``oracle_cache=False``), with
 identical verdicts, and that paranoid mode — which recomputes every
 cached result from scratch and asserts equality — passes over the whole
-suite.
+suite. The long-horizon row drives one machine for 2000 steps and
+gates per-window cost to grow no faster than the host stage 2's maplet
+count: the oracle's per-step cost stays linear in state as it ages.
 
 Every measurement also lands in ``BENCH_oracle.json`` (repo root), which
 CI uploads as a workflow artifact.
@@ -21,6 +23,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.arch.defs import Stage
+from repro.ghost.abstraction import interpret_pgtable
 from repro.machine import Machine
 from repro.testing.handwritten import ALL_TESTS
 from repro.testing.harness import make_machine, run_tests
@@ -178,3 +182,100 @@ def bench_oracle_paranoid_suite(benchmark):
         f"({len(ALL_TESTS)} tests, every cache decision double-checked)",
     )
     _merge_results({"paranoid_suite_seconds": round(elapsed, 4)})
+
+
+LONG_STEPS = 2000
+LONG_WINDOW = 250
+#: Cache-on runs of the (deterministic) trajectory; each window keeps its
+#: fastest time, so host noise in the short first window cannot decide
+#: the gate.
+LONG_REPEATS = 3
+
+
+def _host_maplets(machine) -> int:
+    """Maplets in the full interpretation of the host stage 2."""
+    root = machine.pkvm.mp.host_mmu.root
+    return len(interpret_pgtable(machine.mem, root, Stage.STAGE2).mapping)
+
+
+def _long_horizon(oracle_cache: bool) -> list[dict]:
+    """One machine aged ``LONG_STEPS`` steps: per-window seconds and the
+    host stage 2's maplet count at each window's end."""
+    machine = make_machine(ghost=True, oracle_cache=oracle_cache)
+    tester = RandomTester(machine, seed=1, profile="all")
+    windows = []
+    for _ in range(LONG_STEPS // LONG_WINDOW):
+        start = time.perf_counter()
+        tester.run(LONG_WINDOW)
+        seconds = time.perf_counter() - start
+        windows.append(
+            {
+                "seconds": round(seconds, 4),
+                "host_maplets": _host_maplets(machine),
+            }
+        )
+    assert not machine.checker.violations
+    return windows
+
+
+def _fastest(runs: list[list[dict]]) -> list[dict]:
+    """Per window, the fastest of several runs of one trajectory."""
+    return [
+        {**windows[0], "seconds": min(w["seconds"] for w in windows)}
+        for windows in zip(*runs)
+    ]
+
+
+def bench_oracle_long_horizon(benchmark):
+    """Per-step oracle cost on one long-lived machine, cache on and off.
+
+    Gate (cache on, the default): the last window may cost at most as
+    many times the first as the host stage 2 has grown, i.e. cost no
+    worse than linear in state. Cache off is recorded, not gated: every
+    record re-walks whole trees, whose cost follows table pages and
+    entries rather than host maplets."""
+
+    def measure():
+        on = _fastest([_long_horizon(True) for _ in range(LONG_REPEATS)])
+        return on, _long_horizon(False)
+
+    on, off = benchmark.pedantic(measure, rounds=1, iterations=1)
+    growth = on[-1]["host_maplets"] / on[0]["host_maplets"]
+    rows = {}
+    for name, windows in (("cache_on", on), ("cache_off", off)):
+        rows[name] = {
+            "windows": windows,
+            "total_seconds": round(sum(w["seconds"] for w in windows), 4),
+            "cost_growth": round(
+                windows[-1]["seconds"] / windows[0]["seconds"], 2
+            ),
+        }
+    report(
+        "E13",
+        "a long-lived checked machine stays fast (per-step cost linear "
+        "in state)",
+        f"{LONG_STEPS} steps: cache on {rows['cache_on']['total_seconds']:.1f}s"
+        f" (fastest of {LONG_REPEATS}) vs off "
+        f"{rows['cache_off']['total_seconds']:.1f}s; window {len(on)}/1 cost "
+        f"{rows['cache_on']['cost_growth']:.1f}x (on), "
+        f"{rows['cache_off']['cost_growth']:.1f}x (off) for "
+        f"{growth:.1f}x host maplets "
+        f"({on[0]['host_maplets']} -> {on[-1]['host_maplets']})",
+    )
+    _merge_results(
+        {
+            "long_horizon": {
+                "steps": LONG_STEPS,
+                "window_steps": LONG_WINDOW,
+                "tester_seed": 1,
+                "profile": "all",
+                "cache_on_repeats": LONG_REPEATS,
+                "host_maplet_growth": round(growth, 2),
+                **rows,
+            }
+        }
+    )
+    assert rows["cache_on"]["cost_growth"] <= growth, (
+        f"window cost grew {rows['cache_on']['cost_growth']}x for "
+        f"{growth:.2f}x host maplets — superlinear in state"
+    )

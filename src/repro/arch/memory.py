@@ -1,9 +1,12 @@
 """Sparse physical memory.
 
-Memory is stored page-granular: a dictionary from page frame number to a
-512-entry list of 64-bit words. Translation tables live in this memory in
-their architectural format, so both the hardware walk and the ghost
-abstraction function read the same bytes.
+Memory is stored page-granular and sparse twice over: a dictionary from
+page frame number to that page's *nonzero* 64-bit words, keyed by word
+index (0..511). Most pages — translation tables above all — hold a few
+dozen entries, so a page costs bytes rather than a 4KB word array.
+Translation tables live in this memory in their architectural format, so
+both the hardware walk and the ghost abstraction function read the same
+words.
 
 The machine also knows its *memory map*: which physical ranges are DRAM and
 which are devices (MMIO). pKVM consults this (the paper's
@@ -54,7 +57,7 @@ class BadAddress(Exception):
 class PhysicalMemory:
     """Page-granular sparse physical memory with a memory map.
 
-    Pages are materialised (zero-filled) on first write; reads of
+    Pages are materialised on their first nonzero write; reads of
     unmaterialised DRAM return zero, matching the simulator convention that
     fresh memory is zeroed. Accesses outside every region raise
     :class:`BadAddress` — the simulation analogue of a bus abort, which is
@@ -69,7 +72,8 @@ class PhysicalMemory:
             if a.overlaps(b):
                 raise ValueError(f"memory map regions overlap: {a} / {b}")
         self._bases = [r.base for r in self._regions]
-        self._pages: dict[int, list[int]] = {}
+        #: pfn -> {word index: nonzero word}; a zero word is never stored.
+        self._pages: dict[int, dict[int, int]] = {}
         #: Number of reads/writes of device memory, for fault diagnosis.
         self.device_accesses = 0
         #: Monotonic write epoch: every *effective* store (one that changes
@@ -169,27 +173,19 @@ class PhysicalMemory:
 
     # -- word access -----------------------------------------------------
 
-    def _page_for(self, phys: int, *, materialise: bool) -> list[int] | None:
+    def read64(self, phys: int) -> int:
+        """Read the naturally aligned 64-bit word at ``phys``."""
+        if phys % 8:
+            raise BadAddress(f"unaligned 64-bit read at {phys:#x}")
         region = self.region_of(phys)
         if region is None:
             raise BadAddress(f"physical access outside memory map: {phys:#x}")
         if region.kind is MemType.DEVICE:
             self.device_accesses += 1
-        pfn = phys_to_pfn(phys)
-        page = self._pages.get(pfn)
-        if page is None and materialise:
-            page = [0] * PTRS_PER_TABLE
-            self._pages[pfn] = page
-        return page
-
-    def read64(self, phys: int) -> int:
-        """Read the naturally aligned 64-bit word at ``phys``."""
-        if phys % 8:
-            raise BadAddress(f"unaligned 64-bit read at {phys:#x}")
-        page = self._page_for(phys, materialise=False)
+        page = self._pages.get(phys_to_pfn(phys))
         if page is None:
             return 0
-        return page[(phys & (PAGE_SIZE - 1)) >> 3]
+        return page.get((phys & (PAGE_SIZE - 1)) >> 3, 0)
 
     def write64(self, phys: int, value: int) -> None:
         """Write the naturally aligned 64-bit word at ``phys``.
@@ -213,19 +209,20 @@ class PhysicalMemory:
         if page is None:
             if value == 0:
                 return
-            page = [0] * PTRS_PER_TABLE
-            self._pages[pfn] = page
-        elif page[idx] == value:
+            page = self._pages[pfn] = {}
+        elif page.get(idx, 0) == value:
             return
-        page[idx] = value
+        if value:
+            page[idx] = value
+        else:
+            del page[idx]
         self._record_write(pfn)
 
     def zero_page(self, pfn: int) -> None:
         """Zero a whole page, as pKVM does when reclaiming/donating pages."""
-        page = self._pages.get(pfn)
-        if page is None or not any(page):
+        if not self._pages.get(pfn):
             return
-        self._pages[pfn] = [0] * PTRS_PER_TABLE
+        self._pages[pfn] = {}
         self._record_write(pfn)
 
     def zero_range(self, phys: int, size: int) -> None:
@@ -244,15 +241,19 @@ class PhysicalMemory:
 
     def page_words(self, pfn: int) -> list[int]:
         """A copy of the 512 words of page ``pfn`` (zeros if untouched)."""
-        page = self._pages.get(pfn)
-        return list(page) if page is not None else [0] * PTRS_PER_TABLE
+        words = [0] * PTRS_PER_TABLE
+        for idx, word in self._pages.get(pfn, {}).items():
+            words[idx] = word
+        return words
 
-    _EMPTY_PAGE: list[int] = [0] * PTRS_PER_TABLE
+    _EMPTY_PAGE: dict[int, int] = {}
 
-    def page_words_view(self, pfn: int) -> list[int]:
-        """A read-only view of page ``pfn``'s words — the bulk-read fast
-        path the abstraction traversal uses (one lookup per table instead
-        of 512 ``read64`` calls). Callers must not mutate the result."""
+    def page_words_view(self, pfn: int) -> dict[int, int]:
+        """A read-only view of page ``pfn``'s nonzero words, keyed by word
+        index (absent = zero) — the bulk-read fast path the abstraction
+        traversal uses: one lookup per table, then only the live entries
+        instead of 512 ``read64`` calls. Callers must not mutate the
+        result; a page replaced by :meth:`zero_page` gets a new one."""
         return self._pages.get(pfn, self._EMPTY_PAGE)
 
     def materialised_pages(self) -> int:

@@ -26,7 +26,8 @@ from repro.arch.defs import (
 from repro.arch.memory import PhysicalMemory
 from repro.arch.pte import EntryKind, PageState, decode_descriptor
 from repro.arch.cpu import Cpu
-from repro.ghost.maplets import Mapping, MapletTarget
+from repro.ghost.arena import arena
+from repro.ghost.maplets import Maplet, Mapping, MapletTarget
 from repro.obs.trace import active_tracer
 from repro.ghost.state import (
     AbstractPgtable,
@@ -52,10 +53,11 @@ class _MemoEntry:
     """Per-subtree memoisation record for the incremental traversal.
 
     Besides the subtree's result (``maplets``/``phys``), it keeps the raw
-    *word snapshot* of the table page and the index->child map, so a
-    revisit after a write can diff the 512 words against the snapshot and
-    re-decode only the entries that actually changed — the page-table
-    analogue of an incremental parser reusing its old parse tree.
+    *word snapshot* of the table page (its nonzero words by index) and the
+    index->child map, so a revisit after a write can diff the words
+    against the snapshot and re-decode only the entries that actually
+    changed — the page-table analogue of an incremental parser reusing
+    its old parse tree.
 
     Entries are self-validating: ``epoch`` is the last memory epoch at
     which the whole subtree was known clean, and a revisit consults the
@@ -70,7 +72,7 @@ class _MemoEntry:
         self.maplets: tuple = maplets
         self.phys: frozenset[int] = phys
         self.pfns: frozenset[int] = pfns
-        self.words: list[int] = words
+        self.words: dict[int, int] = words
         self.children: dict[int, int] = children
         self.epoch: int = epoch
 
@@ -165,10 +167,8 @@ def _interpret_table(
     nr_pages = entry_size // PAGE_SIZE
     words = mem.page_words_view(table_pa >> PAGE_SHIFT)
     children: dict[int, int] = {}
-    for idx in range(512):
+    for idx in sorted(words):
         raw = words[idx]
-        if raw == 0:
-            continue
         va = va_partial | (idx * entry_size)
         try:
             pte = decode_descriptor(raw, level, stage)
@@ -205,13 +205,14 @@ def _interpret_table(
             )
         # plain invalid entries contribute nothing
     path.discard(table_pa)
+    arena.account_mapping(segment)
     result = (tuple(segment), frozenset(phys))
     if memo is not None:
         memo[(table_pa, level, va_partial)] = _MemoEntry(
             result[0],
             result[1],
             frozenset(pa >> PAGE_SHIFT for pa in result[1]),
-            list(words),
+            dict(words),
             children,
             mem.epoch,
         )
@@ -233,10 +234,12 @@ def _rescan_table(
 
     Entries whose raw word is unchanged keep their old contribution to
     the segment (recursing only into child subtrees the journal marks
-    dirty); changed entries have their old input-address span retired and
-    the new descriptor spliced in. Cost is O(changed entries), not
-    O(512), in the common case where the page itself is untouched and
-    only a descendant moved.
+    dirty); a changed entry, or a dirty child subtree, has its whole
+    input-address span replaced by one :meth:`Mapping.splice`. Each such
+    entry costs O(log n + k), for n maplets in this level's segment and k
+    maplets in the spliced span. The diff itself touches only the page's
+    nonzero words, and copying the stored segment in and out is still
+    O(n) per rescanned table page.
     """
     path.add(table_pa)
     entry_size = level_block_size(level)
@@ -257,9 +260,7 @@ def _rescan_table(
                 f"table page {sorted(dup)[0]:#x} reached twice"
             )
         phys.update(child_phys)
-        seg.remove_if_present(va, nr_pages)
-        for m in child_maplets:
-            seg.insert(m.va, m.nr_pages, m.target)
+        seg.splice(va, nr_pages, child_maplets)
 
     if words == old_words:
         # The page itself is untouched: only descendants can have moved.
@@ -278,13 +279,18 @@ def _rescan_table(
                 continue
             splice_child(child_pa, va)
     else:
-        for idx in range(512):
-            raw = words[idx]
+        changed = {
+            idx
+            for idx in words.keys() | old_words.keys()
+            if words.get(idx) != old_words.get(idx)
+        }
+        # Unchanged leaf/invalid entries keep their contribution: visit
+        # only the changed entries and the (possibly dirty) children.
+        for idx in sorted(changed | children.keys()):
+            raw = words.get(idx, 0)
             va = va_partial | (idx * entry_size)
-            if raw == old_words[idx]:
-                child_pa = children.get(idx)
-                if child_pa is None:
-                    continue  # unchanged leaf/invalid: contribution kept
+            if idx not in changed:
+                child_pa = children[idx]
                 child_entry = memo.get((child_pa, level + 1, va))
                 if child_entry is not None and _subtree_clean(
                     mem, child_entry, dirty_cache
@@ -298,11 +304,11 @@ def _rescan_table(
                     continue
                 splice_child(child_pa, va)
                 continue
-            # The word changed: retire the old contribution of this
-            # entry's whole input-address span, then decode anew.
-            seg.remove_if_present(va, nr_pages)
+            # The word changed: replace the old contribution of this
+            # entry's whole input-address span with the new descriptor's.
             children.pop(idx, None)
             if raw == 0:
+                seg.splice(va, nr_pages)
                 continue
             try:
                 pte = decode_descriptor(raw, level, stage)
@@ -315,15 +321,15 @@ def _rescan_table(
                 children[idx] = pte.oa
                 splice_child(pte.oa, va)
             elif pte.kind is EntryKind.INVALID_ANNOTATED:
-                seg.insert(va, nr_pages, MapletTarget.annotated(pte.owner_id))
+                target = MapletTarget.annotated(pte.owner_id)
+                seg.splice(va, nr_pages, (Maplet(va, nr_pages, target),))
             elif pte.kind.is_leaf:
-                seg.insert(
-                    va,
-                    nr_pages,
-                    MapletTarget.mapped(
-                        pte.oa, pte.perms, pte.memtype, pte.page_state
-                    ),
+                target = MapletTarget.mapped(
+                    pte.oa, pte.perms, pte.memtype, pte.page_state
                 )
+                seg.splice(va, nr_pages, (Maplet(va, nr_pages, target),))
+            else:
+                seg.splice(va, nr_pages)  # plain invalid: contributes nothing
     path.discard(table_pa)
     # Update the entry in place only once the whole subtree succeeded: an
     # AbstractionError above leaves the old (still self-consistent)
@@ -331,7 +337,7 @@ def _rescan_table(
     entry.maplets = tuple(seg)
     entry.phys = frozenset(phys)
     entry.pfns = frozenset(pa >> PAGE_SHIFT for pa in entry.phys)
-    entry.words = list(words)
+    entry.words = dict(words)
     entry.children = children
     entry.epoch = mem.epoch
     return entry.maplets, entry.phys
@@ -367,16 +373,19 @@ def record_abstraction_host(
     demonstrating why the paper's host abstraction must be loose.
     """
     full = interpret_pgtable(mem, mp.host_mmu.root, Stage.STAGE2, memo=memo)
-    annot = Mapping()
-    shared = Mapping()
-    for maplet in full.mapping:
-        if maplet.target.kind == "annotated":
-            annot.extend_coalesce(maplet.va, maplet.nr_pages, maplet.target)
-        elif not loose or maplet.target.page_state in (
-            PageState.SHARED_OWNED,
-            PageState.SHARED_BORROWED,
-        ):
-            shared.extend_coalesce(maplet.va, maplet.nr_pages, maplet.target)
+    # Each part is a subsequence of the normal-form full mapping, so it is
+    # already in normal form: two kept maplets that touch were neighbours
+    # in the full mapping, which would have coalesced them.
+    shared_states = (PageState.SHARED_OWNED, PageState.SHARED_BORROWED)
+    annot = Mapping([m for m in full.mapping if m.target.kind == "annotated"])
+    shared = Mapping(
+        [
+            m
+            for m in full.mapping
+            if m.target.kind != "annotated"
+            and (not loose or m.target.page_state in shared_states)
+        ]
+    )
     return GhostHost(
         present=True, annot=annot, shared=shared, footprint=full.footprint
     )

@@ -39,6 +39,7 @@ from repro.ghost.abstraction import (
     record_globals,
 )
 from repro.arch.defs import Stage
+from repro.arch.pte import PageState
 from repro.ghost.arena import arena
 from repro.ghost.cache import AbstractionCache
 from repro.ghost.calldata import GhostCallData
@@ -106,6 +107,22 @@ class GhostCallRecord:
     #: Set when a fail-fast violation already fired mid-handler, so the
     #: exit-time check must not mask the original exception with another.
     aborted: bool = False
+
+
+def _guest_sharing(guest_phys: dict) -> tuple[set[int], set[int]]:
+    """The physical pages some guest borrows, and those some guest lends
+    (shares-and-owns), from the sweep's owner -> {phys: state} index:
+    built once per sweep, so each host-shared page is one set lookup
+    instead of a scan of every guest."""
+    borrowed: set[int] = set()
+    lent: set[int] = set()
+    for pages in guest_phys.values():
+        for phys, state in pages.items():
+            if state is PageState.SHARED_BORROWED:
+                borrowed.add(phys)
+            elif state is PageState.SHARED_OWNED:
+                lent.add(phys)
+    return borrowed, lent
 
 
 class GhostChecker:
@@ -628,7 +645,6 @@ class GhostChecker:
           not annotated away — no device reaches a page the host donated.
         """
         from repro.arch.defs import PAGE_SIZE
-        from repro.arch.pte import PageState
         from repro.pkvm.defs import OwnerId
 
         self._m_isolation_runs.inc()
@@ -663,6 +679,7 @@ class GhostChecker:
                     pages[maplet.target.oa + i * PAGE_SIZE] = (
                         maplet.target.page_state
                     )
+        guest_borrowed, guest_lent = _guest_sharing(guest_phys)
 
         # Index DMA-reachable pages and check the DMA-isolation invariant:
         # every page a device can translate to must be borrowed from a
@@ -712,10 +729,7 @@ class GhostChecker:
                         hyp_side is not None
                         and hyp_side.page_state is PageState.SHARED_BORROWED
                     )
-                    guest_borrows = any(
-                        pages.get(phys) is PageState.SHARED_BORROWED
-                        for pages in guest_phys.values()
-                    )
+                    guest_borrows = phys in guest_borrowed
                     pending = phys in vms.reclaimable
                     iommu_borrows = phys in dma_borrowed
                     if not (
@@ -727,11 +741,7 @@ class GhostChecker:
                             component="host",
                         )
                 elif state is PageState.SHARED_BORROWED:
-                    lender = any(
-                        pages.get(phys) is PageState.SHARED_OWNED
-                        for pages in guest_phys.values()
-                    )
-                    if not lender and phys not in vms.reclaimable:
+                    if phys not in guest_lent and phys not in vms.reclaimable:
                         self._report(
                             "isolation",
                             f"host borrows {phys:#x} but no guest "

@@ -14,8 +14,10 @@ host's stage 2 and both matter to the specification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterator
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import Iterator, Sequence
 
 from repro.arch.defs import PAGE_SIZE, MemType, Perms
 from repro.arch.pte import PageState
@@ -60,12 +62,30 @@ class MapletTarget:
     def at_offset(self, offset: int) -> "MapletTarget":
         """The target ``offset`` bytes into a run starting with this one."""
         if self.kind == "mapped":
-            return replace(self, oa=self.oa + offset)
+            return MapletTarget(
+                "mapped",
+                self.oa + offset,
+                self.perms,
+                self.memtype,
+                self.page_state,
+                self.owner_id,
+            )
         return self
 
     def continues(self, earlier: "MapletTarget", offset: int) -> bool:
-        """Whether this target extends ``earlier`` at byte ``offset``."""
-        return self == earlier.at_offset(offset)
+        """Whether this target extends ``earlier`` at byte ``offset``:
+        ``self == earlier.at_offset(offset)``, without building the
+        offset target."""
+        if self.kind == "mapped":
+            return (
+                earlier.kind == "mapped"
+                and self.oa == earlier.oa + offset
+                and self.perms == earlier.perms
+                and self.memtype == earlier.memtype
+                and self.page_state == earlier.page_state
+                and self.owner_id == earlier.owner_id
+            )
+        return self == earlier
 
     def describe(self) -> str:
         if self.kind == "annotated":
@@ -85,10 +105,11 @@ class Maplet:
     va: int
     nr_pages: int
     target: MapletTarget
+    #: First address past the run; derived, so neither compared nor hashed.
+    end: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def end(self) -> int:
-        return self.va + self.nr_pages * PAGE_SIZE
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "end", self.va + self.nr_pages * PAGE_SIZE)
 
     def target_at(self, va: int) -> MapletTarget:
         if not self.va <= va < self.end:
@@ -97,6 +118,10 @@ class Maplet:
 
     def describe(self) -> str:
         return f"ipa:{self.va:x}+{self.nr_pages}p -> {self.target.describe()}"
+
+
+_maplet_va = attrgetter("va")
+_maplet_end = attrgetter("end")
 
 
 class Mapping:
@@ -224,16 +249,8 @@ class Mapping:
         cross-component invariant checks use instead of per-page lookups.
         """
         end = va + nr_pages * PAGE_SIZE
-        lo, hi = 0, len(self._maplets)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._maplets[mid].end <= va:
-                lo = mid + 1
-            else:
-                hi = mid
-        for maplet in self._maplets[lo:]:
-            if maplet.va >= end:
-                break
+        lo, hi = self._span(va, end)
+        for maplet in self._maplets[lo:hi]:
             run_start = max(va, maplet.va)
             run_end = min(end, maplet.end)
             yield (
@@ -242,20 +259,95 @@ class Mapping:
                 maplet.target_at(run_start),
             )
 
+    def _span(self, va: int, end: int) -> tuple[int, int]:
+        """Bisect to the slice ``[lo, hi)`` of maplets overlapping
+        ``[va, end)``: ``lo`` is the first maplet ending after ``va``,
+        ``hi`` the first (from ``lo``) starting at or after ``end``."""
+        maplets = self._maplets
+        lo = bisect_right(maplets, va, key=_maplet_end)
+        return lo, bisect_left(maplets, end, lo, key=_maplet_va)
+
     def _find(self, va: int) -> int | None:
-        lo, hi = 0, len(self._maplets)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            m = self._maplets[mid]
-            if va < m.va:
-                hi = mid
-            elif va >= m.end:
-                lo = mid + 1
-            else:
-                return mid
+        idx = bisect_right(self._maplets, va, key=_maplet_end)
+        if idx < len(self._maplets) and self._maplets[idx].va <= va:
+            return idx
         return None
 
     # -- mutation -----------------------------------------------------------
+
+    def splice(
+        self, va: int, nr_pages: int, runs: Sequence[Maplet] = ()
+    ) -> None:
+        """Replace the pages of ``[va, va + nr_pages*4K)`` with ``runs``.
+
+        ``runs`` is a sequence of :class:`Maplet` in ascending, disjoint
+        order, each inside the range; pages of the range that no run
+        covers become absent. Runs out of order, overlapping or outside
+        the range raise :class:`MappingError` and leave the mapping
+        unchanged. This is the one general mutation: it bisects to the
+        maplets overlapping the range, swaps the runs in, and coalesces
+        them with each other and with the untouched maplets at the two
+        edges — O(log n + k) maplet operations for k maplets spliced in
+        or out.
+        """
+        if va % PAGE_SIZE:
+            raise MappingError(f"unaligned splice at {va:#x}")
+        if nr_pages < 0:
+            raise MappingError(f"negative splice at {va:#x}")
+        self._ensure_private()
+        end = va + nr_pages * PAGE_SIZE
+        maplets = self._maplets
+        lo, hi = self._span(va, end)
+        out: list[Maplet] = []
+        if lo < hi and maplets[lo].va < va:
+            first = maplets[lo]
+            out.append(
+                Maplet(first.va, (va - first.va) // PAGE_SIZE, first.target)
+            )
+        cursor = va
+        for run in runs:
+            run_va = run.va
+            if (
+                run_va < cursor
+                or run_va % PAGE_SIZE
+                or run.nr_pages <= 0
+                or run.end > end
+            ):
+                raise MappingError(
+                    f"splice run {run.describe()} overlaps, is out of order "
+                    f"or lies outside [{va:#x}, {end:#x})"
+                )
+            cursor = run.end
+            joined = _joined(out[-1], run) if out else None
+            if joined is None:
+                out.append(run)
+            else:
+                out[-1] = joined
+        if lo < hi and maplets[hi - 1].end > end:
+            last = maplets[hi - 1]
+            right = Maplet(
+                end,
+                (last.end - end) // PAGE_SIZE,
+                last.target.at_offset(end - last.va),
+            )
+            joined = _joined(out[-1], right) if out else None
+            if joined is None:
+                out.append(right)
+            else:
+                out[-1] = joined
+        if out:
+            if lo > 0:
+                joined = _joined(maplets[lo - 1], out[0])
+                if joined is not None:
+                    lo -= 1
+                    out[0] = joined
+            if hi < len(maplets):
+                joined = _joined(out[-1], maplets[hi])
+                if joined is not None:
+                    hi += 1
+                    out[-1] = joined
+        maplets[lo:hi] = out
+        arena.account_mapping(self)
 
     def insert(
         self, va: int, nr_pages: int, target: MapletTarget, *, overwrite: bool = False
@@ -271,25 +363,24 @@ class Mapping:
             raise MappingError(f"unaligned insert at {va:#x}")
         if nr_pages <= 0:
             raise MappingError(f"empty insert at {va:#x}")
-        self._ensure_private()
         end = va + nr_pages * PAGE_SIZE
-        if overwrite:
-            self.remove_if_present(va, nr_pages)
-        else:
-            for m in self._maplets:
-                if m.va < end and va < m.end:
-                    raise MappingError(
-                        f"insert [{va:#x}, {end:#x}) overlaps {m.describe()}"
-                    )
-        self._maplets.append(Maplet(va, nr_pages, target))
-        self._normalise()
+        if not overwrite:
+            lo, hi = self._span(va, end)
+            if lo < hi:
+                raise MappingError(
+                    f"insert [{va:#x}, {end:#x}) overlaps "
+                    f"{self._maplets[lo].describe()}"
+                )
+        self.splice(va, nr_pages, (Maplet(va, nr_pages, target),))
 
     def extend_coalesce(self, va: int, nr_pages: int, target: MapletTarget) -> None:
         """Append an in-order run, coalescing with the last maplet.
 
         The paper's ``extend_mapping_coalesce`` (Fig. 2): the abstraction
         traversal visits entries in ascending input-address order, so
-        extension is O(1) instead of a general insert.
+        extension is O(1) instead of a general insert. A traversal
+        segment only grows, so the builder accounts the finished segment
+        with :meth:`GhostArena.account_mapping` once instead of per run.
         """
         if va % PAGE_SIZE:
             raise MappingError(f"unaligned extend at {va:#x}")
@@ -304,10 +395,8 @@ class Mapping:
                 self._maplets[-1] = Maplet(
                     last.va, last.nr_pages + nr_pages, last.target
                 )
-                arena.account_mapping(self)
                 return
         self._maplets.append(Maplet(va, nr_pages, target))
-        arena.account_mapping(self)
 
     def remove(self, va: int, nr_pages: int) -> None:
         """Remove exactly ``nr_pages`` pages at ``va``; all must be present."""
@@ -319,56 +408,21 @@ class Mapping:
 
     def remove_if_present(self, va: int, nr_pages: int) -> None:
         """Remove any pages of ``[va, va+nr_pages*4K)`` that are present."""
-        if va % PAGE_SIZE:
-            raise MappingError(f"unaligned remove at {va:#x}")
-        self._ensure_private()
-        end = va + nr_pages * PAGE_SIZE
-        out: list[Maplet] = []
-        for m in self._maplets:
-            if m.end <= va or m.va >= end:
-                out.append(m)
-                continue
-            if m.va < va:
-                out.append(Maplet(m.va, (va - m.va) // PAGE_SIZE, m.target))
-            if m.end > end:
-                out.append(
-                    Maplet(
-                        end,
-                        (m.end - end) // PAGE_SIZE,
-                        m.target.at_offset(end - m.va),
-                    )
-                )
-        self._maplets = out
-        self._normalise()
-
-    def _normalise(self) -> None:
-        """Restore the normal form: sorted, disjoint, maximally coalesced."""
-        self._maplets.sort(key=lambda m: m.va)
-        out: list[Maplet] = []
-        for m in self._maplets:
-            if out:
-                prev = out[-1]
-                if m.va < prev.end:
-                    raise MappingError(
-                        f"overlap after update: {prev.describe()} / {m.describe()}"
-                    )
-                if m.va == prev.end and m.target.continues(
-                    prev.target, m.va - prev.va
-                ):
-                    out[-1] = Maplet(
-                        prev.va, prev.nr_pages + m.nr_pages, prev.target
-                    )
-                    continue
-            out.append(m)
-        self._maplets = out
-        arena.account_mapping(self)
+        self.splice(va, nr_pages)
 
     # -- set-like operations --------------------------------------------------
 
     def domain_overlaps(self, other: "Mapping") -> bool:
-        """Whether any page is in both domains."""
-        for m in self._maplets:
-            if next(other.runs_in(m.va, m.nr_pages), None) is not None:
+        """Whether any page is in both domains: one merge pass over the
+        two sorted maplet lists."""
+        a, b = self._maplets, other._maplets
+        i = j = 0
+        while i < len(a) and j < len(b):
+            if a[i].end <= b[j].va:
+                i += 1
+            elif b[j].end <= a[i].va:
+                j += 1
+            else:
                 return True
         return False
 
@@ -380,6 +434,13 @@ class Mapping:
         removed = _page_difference(self, other)
         added = _page_difference(other, self)
         return removed, added
+
+
+def _joined(a: Maplet, b: Maplet) -> Maplet | None:
+    """The maplet ``a`` followed by ``b``, if ``b`` continues ``a``."""
+    if a.end == b.va and b.target.continues(a.target, b.va - a.va):
+        return Maplet(a.va, a.nr_pages + b.nr_pages, a.target)
+    return None
 
 
 def _page_difference(a: Mapping, b: Mapping) -> list[Maplet]:

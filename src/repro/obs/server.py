@@ -38,7 +38,6 @@ import json
 import threading
 import time
 from collections import deque
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
 __all__ = ["TelemetryServer", "TelemetryRing", "parse_hostport"]
@@ -128,6 +127,11 @@ class TelemetryServer:
             "/profile": (profile, "text/plain"),
             "/campaign": (campaign, "application/json"),
         }
+        # Imported here, not at module level: ``http.server`` pulls in
+        # ``http.client``, ``ssl`` and ``email`` (several MB resident),
+        # which every process importing ``repro`` would otherwise map.
+        from http.server import ThreadingHTTPServer
+
         self._httpd = ThreadingHTTPServer(
             (host, port), self._handler_class()
         )
@@ -218,6 +222,8 @@ class TelemetryServer:
     # -- request handling --------------------------------------------------
 
     def _handler_class(self):
+        from http.server import BaseHTTPRequestHandler
+
         server = self
 
         class Handler(BaseHTTPRequestHandler):

@@ -18,7 +18,6 @@ bitmaps: set union per scenario, associative, commutative, idempotent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from hashlib import blake2b
 
 #: Sliding-window length over the (thread, tag) event stream. Window
 #: hashes at w=1 collapse to "which operations ran" (plain coverage);
@@ -28,6 +27,11 @@ DEFAULT_WINDOW = 4
 
 
 def _hash_window(window: tuple[tuple[str, str], ...]) -> int:
+    # Imported on first use: ``hashlib`` loads OpenSSL's libcrypto (~3.5
+    # MB resident), which a process that never explores schedules (this
+    # module is imported with ``repro.pkvm.spinlock``) need not map.
+    from hashlib import blake2b
+
     digest = blake2b(repr(window).encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 

@@ -8,12 +8,18 @@ control (it runs at every quiescent handler exit).
 import pytest
 
 from repro.arch.defs import PAGE_SIZE, Perms
+from repro.arch.exceptions import HostCrash, HypervisorPanic
 from repro.arch.pte import PageState
+from repro.ghost import checker as ghost_checker
 from repro.machine import Machine
+from repro.pkvm.bugs import Bugs
 from repro.pkvm.defs import HypercallId
 from repro.pkvm.mem_protect import hyp_va
 from repro.pkvm.pgtable import MapAttrs, map_range, set_owner_range, unmap_range
+from repro.testing.handwritten import ALL_TESTS
+from repro.testing.harness import run_tests
 from repro.testing.proxy import HypProxy
+from repro.testing.synthetic import SCENARIOS
 
 
 def violations_of_kind(machine, kind):
@@ -127,3 +133,82 @@ class TestIsolationHolds:
         before = machine.checker.isolation_checks_run
         poke(machine)
         assert machine.checker.isolation_checks_run == before
+
+
+class _GuestScan:
+    """Reference twin of the sweep's guest-sharing index: the per-page
+    scan of every guest's pages that the index replaced."""
+
+    def __init__(self, guest_phys, state):
+        self.guest_phys = guest_phys
+        self.state = state
+
+    def __contains__(self, phys):
+        return any(
+            pages.get(phys) is self.state for pages in self.guest_phys.values()
+        )
+
+
+def _reference_guest_sharing(guest_phys):
+    return (
+        _GuestScan(guest_phys, PageState.SHARED_BORROWED),
+        _GuestScan(guest_phys, PageState.SHARED_OWNED),
+    )
+
+
+def _matrix_violations(bug):
+    """Every violation the synthetic-bug scenario reports, in order, with
+    the checker carrying on past each one."""
+    _kind, scenario, opts = SCENARIOS[bug]
+    machine = Machine(bugs=Bugs.single(bug), **opts)
+    machine.checker.fail_fast = False
+    try:
+        scenario(HypProxy(machine))
+    except (HypervisorPanic, HostCrash) as exc:
+        outcome = type(exc).__name__
+    else:
+        outcome = "returned"
+    violations = [
+        (v.kind, v.component, v.detail) for v in machine.checker.violations
+    ]
+    return outcome, violations
+
+
+class TestSweepIndexDifferential:
+    """The once-per-sweep guest-sharing index against the per-page guest
+    scan it replaced: identical violations, in content and in order, on
+    every synthetic-bug scenario — and every bug is still caught."""
+
+    @pytest.mark.parametrize("bug", Bugs.synthetic_bug_names())
+    def test_index_matches_the_scan(self, bug, monkeypatch):
+        fast = _matrix_violations(bug)
+        monkeypatch.setattr(
+            ghost_checker, "_guest_sharing", _reference_guest_sharing
+        )
+        assert _matrix_violations(bug) == fast
+        assert fast[1], f"{bug} no longer reports a violation"
+
+    def test_index_matches_the_scan_over_the_handwritten_suite(
+        self, monkeypatch
+    ):
+        """Sweep by sweep over the handwritten suite, whose guests both
+        borrow from and lend to the host, the index answers every guest
+        page exactly as the scan does."""
+        fast_sharing = ghost_checker._guest_sharing
+        seen = {"borrowed": 0, "lent": 0}
+
+        def compared(guest_phys):
+            borrowed, lent = fast_sharing(guest_phys)
+            ref_borrowed, ref_lent = _reference_guest_sharing(guest_phys)
+            pages = {p for by_phys in guest_phys.values() for p in by_phys}
+            for phys in pages:
+                assert (phys in borrowed) == (phys in ref_borrowed)
+                assert (phys in lent) == (phys in ref_lent)
+            seen["borrowed"] += bool(borrowed)
+            seen["lent"] += bool(lent)
+            return borrowed, lent
+
+        monkeypatch.setattr(ghost_checker, "_guest_sharing", compared)
+        results = run_tests(ALL_TESTS)
+        assert all(r.ok for r in results)
+        assert seen["borrowed"] and seen["lent"], seen

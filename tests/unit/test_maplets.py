@@ -4,7 +4,7 @@ import pytest
 
 from repro.arch.defs import PAGE_SIZE, MemType, Perms
 from repro.arch.pte import PageState
-from repro.ghost.maplets import Mapping, MapletTarget, MappingError
+from repro.ghost.maplets import Maplet, Mapping, MapletTarget, MappingError
 
 
 def mapped(oa, state=PageState.OWNED, perms=Perms.rwx()):
@@ -235,3 +235,61 @@ class TestCopyOnWriteAndFreeze:
         assert hash(a) == hash(b)
         c = a.copy()
         assert hash(c) == hash(a)  # the cached hash travels with the copy
+
+
+class TestSpliceComplexity:
+    """Op-count tripwire: a splice touches only the maplets at its edges.
+
+    Deterministic (no timing): counts target-continuation checks and
+    maplet constructions while splicing into a large mapping, so a
+    splice that rescans or rebuilds the whole list fails loudly."""
+
+    N = 10_000
+    BOUND = 8
+
+    @pytest.fixture
+    def large(self):
+        # Alternating owners never coalesce: exactly N maplets.
+        m = Mapping()
+        for i in range(self.N):
+            m.extend_coalesce(i * PAGE_SIZE, 1, MapletTarget.annotated(1 + i % 2))
+        assert len(m) == self.N
+        return m
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        import repro.ghost.maplets as maplets
+
+        counts = {"continues": 0, "Maplet": 0}
+        continues = MapletTarget.continues
+        real_maplet = maplets.Maplet
+
+        def counting_continues(self, earlier, offset):
+            counts["continues"] += 1
+            return continues(self, earlier, offset)
+
+        def counting_maplet(*args, **kwargs):
+            counts["Maplet"] += 1
+            return real_maplet(*args, **kwargs)
+
+        monkeypatch.setattr(MapletTarget, "continues", counting_continues)
+        monkeypatch.setattr(maplets, "Maplet", counting_maplet)
+        return counts
+
+    def test_splice_one_run_into_the_middle(self, large, counts):
+        mid = self.N // 2 * PAGE_SIZE
+        large.splice(mid, 3, [Maplet(mid, 3, MapletTarget.annotated(7))])
+        assert len(large) == self.N - 2
+        assert large.lookup(mid + PAGE_SIZE) == MapletTarget.annotated(7)
+        assert counts["continues"] <= self.BOUND
+        assert counts["Maplet"] <= self.BOUND
+
+    def test_insert_and_remove_are_as_cheap(self, large, counts):
+        mid = self.N // 2 * PAGE_SIZE
+        large.insert(mid, 1, MapletTarget.annotated(9), overwrite=True)
+        large.remove_if_present(mid + PAGE_SIZE, 1)
+        # The second owner-9 page coalesces with the first.
+        large.insert(mid + PAGE_SIZE, 1, MapletTarget.annotated(9))
+        assert len(large) == self.N - 1
+        assert counts["continues"] <= 2 * self.BOUND
+        assert counts["Maplet"] <= 2 * self.BOUND

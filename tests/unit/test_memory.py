@@ -119,6 +119,19 @@ class TestPageOps:
         assert len(words) == 512
         assert words[2] == 9
 
+    def test_view_holds_only_nonzero_words(self, mem):
+        """The abstraction traversal visits a table's view entries as its
+        live descriptors, so a zeroed word must leave the view."""
+        pfn = DRAM >> 12
+        mem.write64(DRAM + 16, 9)
+        mem.write64(DRAM + 24, 5)
+        mem.write64(DRAM + 16, 0)
+        assert mem.page_words_view(pfn) == {3: 5}
+        view = mem.page_words_view(pfn)
+        mem.zero_page(pfn)
+        assert mem.page_words_view(pfn) == {}
+        assert view == {3: 5}  # a zeroed page gets a new view
+
     def test_materialised_pages_counts_writes_only(self, mem):
         base = mem.materialised_pages()
         mem.read64(DRAM + 8 * 4096)
