@@ -131,7 +131,13 @@ def bench_oracle_campaign_throughput(benchmark):
         tester.run(steps)
         elapsed = time.perf_counter() - start
         calls = tester.stats.hypercalls
-        return calls * 3600.0 / elapsed, machine.checker.stats()
+        counters = {
+            metric.name: metric.value
+            for metric in machine.obs.metrics
+            if metric.name.startswith("oracle_cache_")
+            or metric.name == "oracle_isolation_sweeps_skipped"
+        }
+        return calls * 3600.0 / elapsed, counters
 
     def measure():
         off, _ = campaign(False)
@@ -150,7 +156,7 @@ def bench_oracle_campaign_throughput(benchmark):
         f"cache hit rate {hit_rate:.0%} "
         f"({hits} hits / {misses} misses / "
         f"{stats['oracle_cache_invalidations']} invalidations, "
-        f"{stats['isolation_sweeps_skipped']} isolation sweeps skipped)",
+        f"{stats['oracle_isolation_sweeps_skipped']} isolation sweeps skipped)",
     )
     _merge_results(
         {
@@ -158,9 +164,9 @@ def bench_oracle_campaign_throughput(benchmark):
             "campaign_hypercalls_per_hour_cache_on": round(on),
             "campaign_steps": steps,
             "oracle_cache_stats": {
-                k: v for k, v in stats.items() if k.startswith("oracle_")
+                k: v for k, v in stats.items() if k.startswith("oracle_cache_")
             },
-            "isolation_sweeps_skipped": stats["isolation_sweeps_skipped"],
+            "isolation_sweeps_skipped": stats["oracle_isolation_sweeps_skipped"],
         }
     )
     assert on > off

@@ -60,9 +60,11 @@ def main() -> None:
     print(f"host -> guest-owned page:      {host_can(guest_page)}")
     print(f"host -> pKVM carveout:         {host_can(machine.pkvm.carveout.base)}")
 
-    stats = machine.checker.stats()
-    print(f"\noracle: {stats['checks_passed']}/{stats['checks_run']} handler "
-          f"checks passed, {stats['violations']} violations")
+    metrics = machine.obs.metrics
+    passed = metrics.value("oracle_checks_passed")
+    run = metrics.value("oracle_checks_run")
+    print(f"\noracle: {passed}/{run} handler "
+          f"checks passed, {len(machine.checker.violations)} violations")
 
 
 if __name__ == "__main__":

@@ -103,11 +103,13 @@ def main() -> None:
     proxy = HypProxy(machine)
     nonprotected_flow(machine, proxy)
     protected_flow(machine, proxy)
-    stats = machine.checker.stats()
+    metrics = machine.obs.metrics
+    passed = metrics.value("oracle_checks_passed")
+    run = metrics.value("oracle_checks_run")
     print(
-        f"oracle: {stats['checks_passed']}/{stats['checks_run']} checks "
-        f"passed, {stats['violations']} violations, "
-        f"{machine.checker.isolation_checks_run} isolation sweeps"
+        f"oracle: {passed}/{run} checks "
+        f"passed, {len(machine.checker.violations)} violations, "
+        f"{metrics.value('oracle_isolation_checks_run')} isolation sweeps"
     )
 
 

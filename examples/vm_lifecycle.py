@@ -83,10 +83,12 @@ def main() -> None:
     assert machine.host.read64(secret_page) == 0
     print("the ex-guest page reads as zero from the host: no data leaks")
 
-    stats = machine.checker.stats()
+    metrics = machine.obs.metrics
+    passed = metrics.value("oracle_checks_passed")
+    run = metrics.value("oracle_checks_run")
     print(
-        f"\noracle: {stats['checks_passed']}/{stats['checks_run']} checks "
-        f"passed, {stats['violations']} violations"
+        f"\noracle: {passed}/{run} checks "
+        f"passed, {len(machine.checker.violations)} violations"
     )
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.ownership import check_ownership
-from repro.analysis.report import Finding
 
 #: The registry bugs the static pass must flag: every synthetic bug whose
 #: divergence is a control-flow arm in the handlers (a skipped check, a
@@ -122,11 +121,6 @@ def format_differential(results: list[DifferentialResult]) -> str:
             f"{dynamic:<14} {'YES' if r.agree else 'NO'}"
         )
     return "\n".join(lines)
-
-
-def findings_for(bug: str) -> list[Finding]:
-    """The static findings with ``bug`` assumed on — debugging helper."""
-    return check_ownership(assume_bugs={bug})
 
 
 # ---------------------------------------------------------------------------

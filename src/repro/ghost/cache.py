@@ -53,17 +53,17 @@ class _Entry:
 class AbstractionCache:
     """Per-machine cache of per-root abstraction results.
 
-    ``record(key, root, compute)`` either returns the cached value for
+    ``record(key, root, interpret)`` either returns the cached value for
     ``key`` (when the root matches and no journaled write intersects the
-    recorded footprint) or calls
-    ``compute(memo) -> (value, footprint_phys)``, freezes the value, and
-    caches it. ``memo`` carries the per-subtree traversal memoisation
-    between recomputes of the same tree: entries are self-validating
-    against the write journal and word-diffed forward, so an invalidated
-    tree re-decodes only the table entries that actually changed. Cached
-    values are shared objects: they are frozen so the sharing is safe,
-    and the committed reference copies the checker keeps become
-    pointer-identical on hits, making non-interference checks O(1).
+    recorded footprint) or calls ``interpret(memo)`` — an abstraction
+    whose ``footprint`` is the physical table pages it read — freezes the
+    value, and caches it. ``memo`` carries the per-subtree traversal
+    memoisation between recomputes of the same tree: entries are
+    self-validating against the write journal and word-diffed forward, so
+    an invalidated tree re-decodes only the table entries that actually
+    changed. Cached values are shared objects: they are frozen so the
+    sharing is safe, and the committed reference copies the checker keeps
+    become pointer-identical on hits, making non-interference checks O(1).
     """
 
     #: Journal length beyond which we trim to the oldest cached epoch.
@@ -89,9 +89,7 @@ class AbstractionCache:
         self.obs = obs
         metrics = obs.metrics if obs is not None else MetricsRegistry()
         self.metrics = metrics
-        # All counters live in the metrics registry — the single source
-        # of truth GhostChecker.stats() reads; the attribute-style
-        # properties below are the legacy view.
+        # Every counter lives in the metrics registry.
         self._hits = metrics.counter("oracle_cache_hits")
         self._misses = metrics.counter("oracle_cache_misses")
         self._invalidations = metrics.counter("oracle_cache_invalidations")
@@ -103,42 +101,15 @@ class AbstractionCache:
         self._entries_gauge = metrics.gauge("oracle_cache_entries")
         self._entries: dict[str, _Entry] = {}
 
-    # Legacy attribute view of the registry-backed counters.
-
-    @property
-    def hits(self) -> int:
-        return self._hits.value
-
-    @property
-    def misses(self) -> int:
-        return self._misses.value
-
-    @property
-    def invalidations(self) -> int:
-        return self._invalidations.value
-
-    @property
-    def root_changes(self) -> int:
-        return self._root_changes.value
-
-    @property
-    def paranoid_recomputes(self) -> int:
-        return self._paranoid_recomputes.value
-
-    @property
-    def journal_trims(self) -> int:
-        return self._journal_trims.value
-
     def record(
         self,
         key: str,
         root: int,
-        compute: Callable[[dict | None], tuple[object, frozenset[int]]],
+        interpret: Callable[[dict | None], object],
     ):
         """The cached-abstraction entry point used by checker recorders."""
         if not self.enabled:
-            value, _footprint = compute(None)
-            return value
+            return interpret(None)
         epoch = self.mem.epoch
         memo: dict = {}
         entry = self._entries.get(key)
@@ -162,7 +133,7 @@ class AbstractionCache:
                     entry.epoch = epoch
                     self._hits.inc()
                     if self.paranoid:
-                        self._paranoid_check(key, entry, compute)
+                        self._paranoid_check(key, entry, interpret)
                     return entry.value
                 self._invalidations.inc()
                 if self.obs is not None:
@@ -176,16 +147,17 @@ class AbstractionCache:
         self._misses.inc()
         if len(memo) > self.MEMO_CAP:
             memo.clear()
-        # A failed compute must leave no entry behind (the cache is never
-        # poisoned by AbstractionError — the stale entry was already
+        # A failed interpretation must leave no entry behind (the cache is
+        # never poisoned by AbstractionError — the stale entry was already
         # dropped above) and no half-updated memo either: an abort can
         # strike between a child snapshot's update and its parent's, and
         # a later traversal would splice the mismatched pair.
         try:
-            value, footprint = compute(memo)
+            value = interpret(memo)
         except BaseException:
             memo.clear()
             raise
+        footprint = value.footprint
         frozen = value.freeze() if hasattr(value, "freeze") else value
         entry = _Entry(
             root=root,
@@ -196,7 +168,7 @@ class AbstractionCache:
             memo=memo,
         )
         if self.paranoid:
-            self._paranoid_check(key, entry, compute)
+            self._paranoid_check(key, entry, interpret)
         self._entries[key] = entry
         self._entries_gauge.set(len(self._entries))
         self._maybe_trim()
@@ -216,12 +188,13 @@ class AbstractionCache:
         self._entries.clear()
         self._entries_gauge.set(0)
 
-    def _paranoid_check(self, key, entry, compute) -> None:
+    def _paranoid_check(self, key, entry, interpret) -> None:
         # Recompute with no memo at all: a full from-scratch traversal,
         # checking both the hit/invalidation logic and the memoised
         # incremental re-interpretation.
         self._paranoid_recomputes.inc()
-        fresh_value, fresh_footprint = compute(None)
+        fresh_value = interpret(None)
+        fresh_footprint = fresh_value.footprint
         if fresh_value != entry.value:
             self._flight_dump_paranoid(key, entry, "stale value")
             raise ParanoidMismatchError(
@@ -259,26 +232,3 @@ class AbstractionCache:
             floor = self.mem.epoch
         self.mem.trim_journal(floor)
         self._journal_trims.inc()
-
-    def stats(self) -> dict[str, int | bool]:
-        """The legacy flat view of the registry-backed cache counters.
-
-        Every ``oracle_cache_*`` key is read back from the metrics
-        registry (no second tally anywhere); ``enabled``/``paranoid`` are
-        configuration echoes, not counters.
-        """
-        stats = {
-            "oracle_cache_enabled": self.enabled,
-            "oracle_cache_paranoid": self.paranoid,
-        }
-        for counter in (
-            self._hits,
-            self._misses,
-            self._invalidations,
-            self._root_changes,
-            self._paranoid_recomputes,
-            self._journal_trims,
-        ):
-            stats[counter.name] = counter.value
-        stats["oracle_cache_entries"] = len(self._entries)
-        return stats

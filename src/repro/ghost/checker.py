@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter
 
 from repro.arch.cpu import Cpu
 from repro.arch.exceptions import Syndrome
@@ -44,6 +46,7 @@ from repro.ghost.arena import arena
 from repro.ghost.cache import AbstractionCache
 from repro.ghost.calldata import GhostCallData
 from repro.ghost.diff import diff_components
+from repro.ghost.registry import components, resolve
 from repro.ghost.spec import SpecAccessError, compute_post_trap, spec_name_for
 from repro.ghost.state import (
     GhostIommu,
@@ -125,6 +128,69 @@ def _guest_sharing(guest_phys: dict) -> tuple[set[int], set[int]]:
     return borrowed, lent
 
 
+# -- recorders of the registered components ----------------------------------
+#
+# Named by repro.ghost.registry: ``recorder(checker, key, owner)`` returns
+# the abstraction of the state one lock protects. Page-table trees go
+# through the abstraction cache, whose entry stays valid until the root
+# changes or the memory journal shows a write to the tree's footprint. The
+# vms component and the IOMMU's refcounts and device sets are live Python
+# objects, with nothing to invalidate on: they are recomputed (cheaply).
+
+
+def record_host(checker, key: str, pkvm):
+    mp = pkvm.mp
+    return checker.cache.record(
+        key,
+        mp.host_mmu.root,
+        lambda memo: record_abstraction_host(
+            pkvm.mem, mp, loose=checker.loose_host, memo=memo
+        ),
+    )
+
+
+def record_pkvm(checker, key: str, pkvm):
+    mp = pkvm.mp
+    return checker.cache.record(
+        key,
+        mp.pkvm_pgd.root,
+        lambda memo: record_abstraction_pkvm(pkvm.mem, mp, memo=memo),
+    )
+
+
+def record_vms(checker, key: str, pkvm):
+    return record_abstraction_vms(pkvm.vm_table)
+
+
+def record_vm_pgt(checker, key: str, vm):
+    return checker.cache.record(
+        key,
+        vm.pgt.root,
+        lambda memo: record_abstraction_vm_pgt(vm.pgt.mem, vm, memo=memo),
+    )
+
+
+def record_iommu(checker, key: str, pkvm):
+    """Every DMA domain's refcount, attached devices and shadow stage 2,
+    each domain's tree cached under ``<key>:<domain id>``."""
+    domains: dict[int, GhostIommuDomain] = {}
+    for domain_id in sorted(pkvm.iommu.domains):
+        domain = pkvm.iommu.domains[domain_id]
+        root = domain.s2.root
+        domains[domain_id] = GhostIommuDomain(
+            refcount=domain.refcount,
+            devices=tuple(sorted(domain.devices)),
+            pgt=checker.cache.record(
+                f"{key}:{domain_id}",
+                root,
+                lambda memo, root=root: interpret_pgtable(
+                    pkvm.mem, root, Stage.STAGE2, memo=memo
+                ),
+            ),
+        )
+    return GhostIommu(present=True, domains=domains)
+
+
 class GhostChecker:
     """Attachable oracle for one machine."""
 
@@ -142,9 +208,9 @@ class GhostChecker:
         #: The paper's host-abstraction looseness. False is an ablation:
         #: an over-fitted host abstraction that sees demand mapping.
         self.loose_host = loose_host
-        #: The machine's observability bundle: metrics registry (the
-        #: single source of truth behind :meth:`stats`), span tracer, and
-        #: flight recorder (dumped on any violation).
+        #: The machine's observability bundle: metrics registry (every
+        #: oracle counter lives there), span tracer, and flight recorder
+        #: (dumped on any violation).
         self.obs: Observability = getattr(machine, "obs", None) or Observability()
         #: Incremental abstraction cache (invalidation by footprint).
         #: ``oracle_cache=False`` restores the pre-refactor full-recompute
@@ -176,12 +242,13 @@ class GhostChecker:
         self.committed: dict[str, object] = {}
         self._records: dict[int, GhostCallRecord] = {}
         self.violations: list[Violation] = []
-        #: Per-reason skip tally (legacy view; the registry keeps the
-        #: same numbers as ``oracle_checks_skipped{reason=...}``).
-        self.skip_reasons: dict[str, int] = {}
-        #: Cross-component isolation invariant (§3.1's partition), checked
-        #: at quiescent handler exits.
-        self.check_isolation = True
+        #: ``(key, lock path, recorder)`` of each registered per-VM
+        #: component, resolved at attach time.
+        self._per_vm: list[tuple] = []
+        #: ``(key, isolation part)`` of each registered component that
+        #: declares one, resolved at the first sweep (so an isolation
+        #: part's spec module is not imported at boot).
+        self._isolation_parts: list[tuple] | None = None
         # Identity-stamp over the committed dict: the §3.1 isolation sweep
         # only depends on committed component objects, so if none of them
         # changed (by identity) since the last clean sweep, the sweep
@@ -195,37 +262,11 @@ class GhostChecker:
         #: ghost diffs without re-running the oracle.
         self.frame_hook = None
 
-    # -- legacy attribute view of the registry-backed counters ------------
-
-    @property
-    def checks_run(self) -> int:
-        return self._m_checks_run.value
-
-    @property
-    def checks_passed(self) -> int:
-        return self._m_checks_passed.value
-
-    @property
-    def checks_skipped(self) -> int:
-        return self._m_checks_skipped.value
-
-    @property
-    def components_skipped_multiphase(self) -> int:
-        return self._m_multiphase_skips.value
-
-    @property
-    def isolation_checks_run(self) -> int:
-        return self._m_isolation_runs.value
-
-    @property
-    def isolation_sweeps_skipped(self) -> int:
-        return self._m_isolation_skips.value
-
     # -- attachment -------------------------------------------------------
 
     def attach(self) -> None:
-        """Hook the locks, install init-time invariant checks, and commit
-        the baseline abstraction."""
+        """Hook every registered component's lock, install init-time
+        invariant checks, and commit the baseline abstractions."""
         from repro.ghost.console import GhostConsole
 
         pkvm = self.machine.pkvm
@@ -235,106 +276,41 @@ class GhostChecker:
         )
         if uart is not None:
             self.console = GhostConsole(self.machine.mem, uart.base)
-        mp = pkvm.mp
-        self._hook(mp.host_lock, "host", self._record_host)
-        self._hook(mp.pkvm_lock, "pkvm", self._record_pkvm)
-        self._hook(
-            pkvm.vm_table.lock,
-            "vms",
-            lambda: record_abstraction_vms(pkvm.vm_table),
-        )
-        self._hook(pkvm.iommu.iommu_lock, "iommu", self._record_iommu)
-        # Baseline for non-interference, as if each lock had been released.
-        self.committed["host"] = self._record_host()
-        self.committed["pkvm"] = self._record_pkvm()
-        self.committed["vms"] = record_abstraction_vms(pkvm.vm_table)
-        self.committed["iommu"] = self._record_iommu()
+        for component in components():
+            recorder = resolve(component.recorder)
+            if component.per_vm:
+                self._per_vm.append((component.key, component.lock, recorder))
+                continue
+            record = self._hook(component.key, component.lock, recorder, pkvm)
+            # Baseline for non-interference, as if the lock had been
+            # released.
+            self.committed[component.key] = record()
         self._check_init_invariants()
 
-    # -- cached recorders -------------------------------------------------
-    #
-    # The page-table-backed components go through the abstraction cache:
-    # the traversal's footprint is exactly its read set, so a cached result
-    # is valid until the root changes or the memory journal shows a write
-    # to a footprint page. The vms and cpu-local components read live
-    # Python objects (not memory), so there is nothing to invalidate on —
-    # they are always recomputed (and are cheap).
-
-    def _record_host(self):
-        mp = self.machine.pkvm.mp
-
-        def compute(memo):
-            host = record_abstraction_host(
-                self.machine.mem, mp, loose=self.loose_host, memo=memo
-            )
-            return host, host.footprint
-
-        return self.cache.record("host", mp.host_mmu.root, compute)
-
-    def _record_pkvm(self):
-        mp = self.machine.pkvm.mp
-
-        def compute(memo):
-            pkvm = record_abstraction_pkvm(self.machine.mem, mp, memo=memo)
-            return pkvm, pkvm.pgt.footprint
-
-        return self.cache.record("pkvm", mp.pkvm_pgd.root, compute)
-
-    def _record_vm_pgt(self, vm):
-        def compute(memo):
-            pgt = record_abstraction_vm_pgt(self.machine.mem, vm, memo=memo)
-            return pgt, pgt.footprint
-
-        return self.cache.record(vm_pgt_key(vm.handle), vm.pgt.root, compute)
-
-    def _record_iommu(self):
-        # The refcounts and device sets are live Python objects (always
-        # recomputed, cheap); only each domain's shadow stage-2 traversal
-        # goes through the cache, keyed per domain like the guest pgts.
-        iommu = self.machine.pkvm.iommu
-        domains: dict[int, GhostIommuDomain] = {}
-        for domain_id in sorted(iommu.domains):
-            domain = iommu.domains[domain_id]
-
-            def compute(memo, domain=domain):
-                pgt = interpret_pgtable(
-                    self.machine.mem, domain.s2.root, Stage.STAGE2, memo=memo
-                )
-                return pgt, pgt.footprint
-
-            pgt = self.cache.record(
-                f"iommu:{domain_id}", domain.s2.root, compute
-            )
-            domains[domain_id] = GhostIommuDomain(
-                refcount=domain.refcount,
-                devices=tuple(sorted(domain.devices)),
-                pgt=pgt,
-            )
-        return GhostIommu(present=True, domains=domains)
-
-    def _hook(self, lock, key: str, recorder) -> None:
+    def _hook(self, key: str, lock_path: str, recorder, owner):
+        """Record ``key`` at every acquire and release of its lock; return
+        the bound recorder."""
+        record = partial(recorder, self, key, owner)
+        lock = attrgetter(lock_path)(owner)
         lock.on_acquire.append(
-            lambda _lock, cpu_index: self._on_acquire(key, recorder, cpu_index)
+            lambda _lock, cpu_index: self._on_acquire(key, record, cpu_index)
         )
         lock.on_release.append(
-            lambda _lock, cpu_index: self._on_release(key, recorder, cpu_index)
+            lambda _lock, cpu_index: self._on_release(key, record, cpu_index)
         )
+        return record
 
-    def on_vm_created(self, vm) -> None:
+    def on_vm_created(self, cpu_index: int, vm) -> None:
         """Called (under the vm_table lock) when a VM is inserted: hook its
-        stage 2 lock and commit its (empty) baseline abstraction."""
-        key = vm_pgt_key(vm.handle)
-        recorder = lambda: self._record_vm_pgt(vm)  # noqa: E731
-        self._hook(vm.lock, key, recorder)
-        snapshot = recorder()
-        self.committed[key] = snapshot
+        per-VM components and commit their (empty) baselines."""
+        record = self._records.get(cpu_index)
+        for prefix, lock_path, recorder in self._per_vm:
+            key = f"{prefix}:{vm.handle}"
+            snapshot = self._hook(key, lock_path, recorder, vm)()
+            self.committed[key] = snapshot
+            if record is not None:
+                record.post[key] = snapshot
         self._isolation_clean = False
-        record = self._record_for_current_handler()
-        if record is not None:
-            record.post[key] = snapshot
-
-    def on_vm_destroyed(self, vm) -> None:
-        """The dead VM's pgt lock stays hooked: reclaim still takes it."""
 
     def on_iommu_domain_freed(self, domain_id: int) -> None:
         """Called (under the iommu lock) after ``free_domain`` succeeds:
@@ -438,35 +414,15 @@ class GhostChecker:
         self._records[cpu.index] = record
         arena.account_state(2)  # the pre/post recording buffers
 
-    def on_read_once(self, phys: int, value: int) -> None:
-        record = self._record_for_current_handler()
+    def on_read_once(self, cpu_index: int, phys: int, value: int) -> None:
+        record = self._records.get(cpu_index)
         if record is not None:
             record.call.read_once.append((phys, value))
 
-    def on_guest_event(self, event) -> None:
-        record = self._record_for_current_handler()
+    def on_guest_event(self, cpu_index: int, event) -> None:
+        record = self._records.get(cpu_index)
         if record is not None:
             record.call.guest_events.append(event)
-
-    def _record_for_current_handler(self) -> GhostCallRecord | None:
-        # READ_ONCE and guest events happen on the CPU whose handler is
-        # running; with one admitted thread at a time the running handler
-        # is unambiguous, but several CPUs can be mid-handler. The PKvm
-        # call-outs pass no cpu, so locate the record via the machine's
-        # currently executing CPU: the one whose saved context is at EL2.
-        from repro.arch.exceptions import ExceptionLevel
-
-        candidates = [
-            c for c in self.machine.cpus
-            if c.current_el is ExceptionLevel.EL2 and c.index in self._records
-        ]
-        if len(candidates) == 1:
-            return self._records[candidates[0].index]
-        if candidates:
-            # Multiple CPUs mid-handler: attribute to the most recent
-            # record (single-admission means the running one acted last).
-            return self._records[candidates[-1].index]
-        return None
 
     def on_handler_exit(self, cpu: Cpu) -> None:
         record = self._records.pop(cpu.index, None)
@@ -525,9 +481,6 @@ class GhostChecker:
             self.obs.metrics.counter(
                 "oracle_checks_skipped_by_reason", {"reason": result.note}
             ).inc()
-            self.skip_reasons[result.note] = (
-                self.skip_reasons.get(result.note, 0) + 1
-            )
             return
         if self.frame_hook is not None:
             changed = {
@@ -577,7 +530,7 @@ class GhostChecker:
                         component=key,
                     )
         self._check_separation(record)
-        if self.check_isolation and not self._records:
+        if not self._records:
             # Quiescent (no other handler in flight): the committed state
             # must satisfy the global ownership partition. If no committed
             # component object changed since the last clean sweep, the
@@ -610,8 +563,6 @@ class GhostChecker:
         merged.update(record.post)
         for key, value in merged.items():
             fp = getattr(value, "footprint", None)
-            if fp is None and hasattr(value, "pgt"):
-                fp = value.pgt.footprint
             if fp:
                 footprints[key] = fp
         keys = sorted(footprints)
@@ -640,9 +591,10 @@ class GhostChecker:
         - a page annotated to a guest is in that guest's stage 2 (owned)
           or awaiting reclaim after its VM's teardown;
         - the host's annotation and sharing domains are disjoint;
-        - every page a DMA domain's shadow stage 2 can reach is borrowed
-          (SHARED_BORROWED) from a host page that is shared-and-owned and
-          not annotated away — no device reaches a page the host donated.
+        - each registered component's declared isolation part holds
+          (the IOMMU's: every page a DMA domain's shadow stage 2 can reach
+          is borrowed from a host page that is shared-and-owned and not
+          annotated away — no device reaches a page the host donated).
         """
         from repro.arch.defs import PAGE_SIZE
         from repro.pkvm.defs import OwnerId
@@ -681,40 +633,22 @@ class GhostChecker:
                     )
         guest_borrowed, guest_lent = _guest_sharing(guest_phys)
 
-        # Index DMA-reachable pages and check the DMA-isolation invariant:
-        # every page a device can translate to must be borrowed from a
-        # host page that is still shared-and-owned (never donated away).
-        iommu = self.committed.get("iommu")
-        dma_borrowed: set[int] = set()
-        if iommu is not None:
-            for domain_id, domain in iommu.domains.items():
-                for maplet in domain.pgt.mapping:
-                    if maplet.target.kind != "mapped":
-                        continue
-                    for i in range(maplet.nr_pages):
-                        phys = maplet.target.oa + i * PAGE_SIZE
-                        if (
-                            maplet.target.page_state
-                            is PageState.SHARED_BORROWED
-                        ):
-                            dma_borrowed.add(phys)
-                        host_side = host.shared.lookup(phys)
-                        lent = (
-                            maplet.target.page_state
-                            is PageState.SHARED_BORROWED
-                            and host_side is not None
-                            and host_side.page_state
-                            is PageState.SHARED_OWNED
-                            and host.annot.lookup(phys) is None
-                        )
-                        if not lent:
-                            self._report(
-                                "isolation",
-                                f"device in iommu domain {domain_id} can "
-                                f"DMA to {phys:#x}, which the host does "
-                                "not share-and-own",
-                                component="iommu",
-                            )
+        # The registered components' own pairings with the host (the
+        # IOMMU's DMA rule): the host-shared pages they borrow, and each
+        # page they reach that the host does not lend them.
+        if self._isolation_parts is None:
+            self._isolation_parts = [
+                (c.key, resolve(c.isolation)) for c in components() if c.isolation
+            ]
+        part_borrowed: set[int] = set()
+        for key, isolation in self._isolation_parts:
+            value = self.committed.get(key)
+            if value is None:
+                continue
+            borrowed, problems = isolation(value, host)
+            part_borrowed |= borrowed
+            for detail in problems:
+                self._report("isolation", detail, component=key)
 
         for maplet in host.shared:
             for i in range(maplet.nr_pages):
@@ -731,9 +665,9 @@ class GhostChecker:
                     )
                     guest_borrows = phys in guest_borrowed
                     pending = phys in vms.reclaimable
-                    iommu_borrows = phys in dma_borrowed
+                    part_borrows = phys in part_borrowed
                     if not (
-                        hyp_borrows or guest_borrows or iommu_borrows or pending
+                        hyp_borrows or guest_borrows or part_borrows or pending
                     ):
                         self._report(
                             "isolation",
@@ -814,23 +748,3 @@ class GhostChecker:
             for record in self._records.values():
                 record.aborted = True
             raise SpecViolation(kind, detail)
-
-    def stats(self) -> dict[str, int | bool]:
-        """The harness-facing flat counter view.
-
-        Every number here is read from the machine's metrics registry
-        (``self.obs.metrics``) — the registry is the single source of
-        truth, this dict is a stable legacy projection of it. The
-        ``oracle_cache_*`` keys come through
-        :meth:`AbstractionCache.stats`, which reads the same registry.
-        """
-        return {
-            "checks_run": self.checks_run,
-            "checks_passed": self.checks_passed,
-            "checks_skipped": self.checks_skipped,
-            "violations": len(self.violations),
-            "multiphase_component_skips": self.components_skipped_multiphase,
-            "isolation_checks_run": self.isolation_checks_run,
-            "isolation_sweeps_skipped": self.isolation_sweeps_skipped,
-            **self.cache.stats(),
-        }

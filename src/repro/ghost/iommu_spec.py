@@ -288,6 +288,45 @@ def compute_post__iommu_unmap_pages(
 
 
 # ---------------------------------------------------------------------------
+# The IOMMU's part of the §3.1 isolation sweep
+# ---------------------------------------------------------------------------
+
+
+def dma_isolation(iommu, host) -> tuple[set[int], list[str]]:
+    """Every page a device can DMA to must be borrowed from a host page
+    that is still shared-and-owned and not annotated away (never donated).
+
+    Returns the pages DMA domains borrow, which count as borrowers of the
+    host's shared pages, and a description of each page that breaks the
+    rule.
+    """
+    borrowed: set[int] = set()
+    problems: list[str] = []
+    for domain_id, domain in iommu.domains.items():
+        for maplet in domain.pgt.mapping:
+            if maplet.target.kind != "mapped":
+                continue
+            for i in range(maplet.nr_pages):
+                phys = maplet.target.oa + i * PAGE_SIZE
+                state = maplet.target.page_state
+                if state is PageState.SHARED_BORROWED:
+                    borrowed.add(phys)
+                host_side = host.shared.lookup(phys)
+                lent = (
+                    state is PageState.SHARED_BORROWED
+                    and host_side is not None
+                    and host_side.page_state is PageState.SHARED_OWNED
+                    and host.annot.lookup(phys) is None
+                )
+                if not lent:
+                    problems.append(
+                        f"device in iommu domain {domain_id} can DMA to "
+                        f"{phys:#x}, which the host does not share-and-own"
+                    )
+    return borrowed, problems
+
+
+# ---------------------------------------------------------------------------
 # Manifests (pure literals: the static passes parse, never import)
 # ---------------------------------------------------------------------------
 

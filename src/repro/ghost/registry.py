@@ -17,8 +17,10 @@ Each subsystem names:
   runs over every registered spec module).
 - ``handler_modules`` — the implementation modules whose handlers the
   ownership/refinement/lockorder passes analyse against those manifests.
-- ``component_keys`` — the ghost-state component keys the subsystem owns,
-  iterated by the checker's baselines and the isolation sweep.
+- ``components`` — one :class:`Component` per lock-protected part of the
+  ghost state: its key, the path to its lock, its recorder and, when the
+  boundary pairs with the host's sharing, its part of the §3.1 isolation
+  sweep. The checker hooks, baselines and sweeps exactly these.
 
 The registry itself is deliberately *not* a spec module: spec modules must
 stay pure, so the lazy ``importlib`` plumbing lives here and spec modules
@@ -34,13 +36,39 @@ from pathlib import Path
 
 
 @dataclass(frozen=True)
+class Component:
+    """One ghost-state component: the state one lock protects.
+
+    The checker records the component at every acquire and release of
+    ``lock`` and once at attach time as the non-interference baseline.
+    """
+
+    #: The ghost-state key; a ``per_vm`` component is keyed
+    #: ``"<key>:<vm handle>"``, one instance per VM.
+    key: str
+    #: Attribute path to the lock from the ``PKvm`` object (from the
+    #: ``Vm`` object for a ``per_vm`` component).
+    lock: str
+    #: ``"module:function"``; ``function(checker, key, owner)`` returns
+    #: the abstraction, where ``owner`` is the ``PKvm`` (or the ``Vm``).
+    #: Page-table trees go through ``checker.cache.record(key, root,
+    #: interpret)``.
+    recorder: str
+    per_vm: bool = False
+    #: ``"module:function"`` or ``""``; ``function(value, host)`` returns
+    #: the host-shared pages the component borrows and a description of
+    #: each page it reaches that the host does not lend it.
+    isolation: str = ""
+
+
+@dataclass(frozen=True)
 class Subsystem:
     """One registered security boundary."""
 
     name: str
     spec_module: str
     handler_modules: tuple[str, ...]
-    component_keys: tuple[str, ...]
+    components: tuple[Component, ...]
 
 
 #: Every registered subsystem, in check order. Adding an entry here is
@@ -50,13 +78,27 @@ SUBSYSTEMS: tuple[Subsystem, ...] = (
         name="mem_protect",
         spec_module="repro.ghost.spec",
         handler_modules=("repro.pkvm.mem_protect", "repro.pkvm.hyp"),
-        component_keys=("host", "pkvm", "vms"),
+        components=(
+            Component("host", "mp.host_lock", "repro.ghost.checker:record_host"),
+            Component("pkvm", "mp.pkvm_lock", "repro.ghost.checker:record_pkvm"),
+            Component("vms", "vm_table.lock", "repro.ghost.checker:record_vms"),
+            Component(
+                "vm_pgt", "lock", "repro.ghost.checker:record_vm_pgt", per_vm=True
+            ),
+        ),
     ),
     Subsystem(
         name="iommu",
         spec_module="repro.ghost.iommu_spec",
         handler_modules=("repro.pkvm.iommu",),
-        component_keys=("iommu",),
+        components=(
+            Component(
+                "iommu",
+                "iommu.iommu_lock",
+                "repro.ghost.checker:record_iommu",
+                isolation="repro.ghost.iommu_spec:dma_isolation",
+            ),
+        ),
     ),
 )
 
@@ -66,6 +108,17 @@ def subsystem(name: str) -> Subsystem:
         if sub.name == name:
             return sub
     raise KeyError(f"unknown subsystem {name!r}")
+
+
+def components() -> list[Component]:
+    """Every registered component, in check order."""
+    return [c for sub in SUBSYSTEMS for c in sub.components]
+
+
+def resolve(ref: str):
+    """The function a ``"module:function"`` reference names."""
+    module, _, name = ref.partition(":")
+    return getattr(importlib.import_module(module), name)
 
 
 def _spec(sub: Subsystem):

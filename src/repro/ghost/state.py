@@ -82,6 +82,10 @@ class GhostPkvm:
     present: bool = False
     pgt: AbstractPgtable = field(default_factory=AbstractPgtable)
 
+    @property
+    def footprint(self) -> frozenset[int]:
+        return self.pgt.footprint
+
     def copy(self) -> "GhostPkvm":
         return GhostPkvm(self.present, self.pgt.copy())
 

@@ -19,8 +19,8 @@ Five zero-dependency pieces, bundled per machine by
   ``/flight``, ``/profile``, ``/campaign``, ``/healthz``).
 
 The default bundle (what ``Machine()`` builds when none is passed) keeps
-metrics live — they are single integer updates and are the source of
-truth behind ``GhostChecker.stats()`` — but puts tracing behind a
+metrics live — they are single integer updates and the only store of
+the oracle's counters — but puts tracing behind a
 :class:`~repro.obs.trace.NullSink`, leaves the flight recorder at
 capacity 0, and attaches no profiler or server, so the disabled paths
 cost one attribute check each (``benchmarks/bench_obs.py`` holds the

@@ -5,8 +5,8 @@ handwritten-suite overhead, ~18 MB ghost memory, ~200k random
 hypercalls/hour — were, until this subsystem, one-shot benchmark
 outputs. The registry makes them *always-on measurements*: per-hypercall
 and oracle-check latency histograms, a ghost-memory footprint gauge, the
-oracle cache's hit/miss/invalidation counters (the single source of
-truth behind ``GhostChecker.stats()``), and campaign throughput gauges.
+oracle's check and cache counters (kept nowhere else), and campaign
+throughput gauges.
 
 Design points:
 

@@ -82,9 +82,9 @@ class TestReadOnceRecording:
         machine = Machine()
         seen = []
         orig = machine.checker.on_read_once
-        machine.checker.on_read_once = lambda a, v: (
+        machine.checker.on_read_once = lambda c, a, v: (
             seen.append((a, v)),
-            orig(a, v),
+            orig(c, a, v),
         )
         from repro.testing.proxy import HypProxy
 

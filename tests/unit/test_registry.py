@@ -2,12 +2,19 @@
 one table grouping each oracle-checked boundary's spec module, handler
 modules, and ghost-state components."""
 
+import dataclasses
 import importlib
+from pathlib import Path
 
 import pytest
 
+from repro.ghost import checker as ghost_checker
+from repro.ghost import registry
+from repro.ghost.checker import GhostChecker, SpecViolation
 from repro.ghost.registry import (
     SUBSYSTEMS,
+    Component,
+    components,
     handler_module_paths,
     handler_package_roots,
     merged_frame_manifests,
@@ -18,7 +25,9 @@ from repro.ghost.registry import (
     spec_module_paths,
     subsystem,
 )
+from repro.machine import Machine
 from repro.pkvm.defs import HypercallId
+from repro.pkvm.spinlock import HypSpinLock
 
 
 class TestRegistryShape:
@@ -89,3 +98,54 @@ class TestCheckerUsesRegistry:
             HypercallId.IOMMU_ALLOC_DOMAIN not in spec_mod.HYPERCALL_SPECS
         )
         assert by_registry.__name__ == "compute_post__iommu_alloc_domain"
+
+
+def record_toy(checker, key, pkvm):
+    return pkvm.toy_value
+
+
+class TestRegistryExtension:
+    """A new component is one registry entry: the checker hooks its lock,
+    baselines it and checks non-interference with no edit of its own."""
+
+    def test_boot_commits_exactly_the_static_components(self):
+        machine = Machine()
+        static = [c.key for c in components() if not c.per_vm]
+        assert list(machine.checker.committed) == static
+        from repro.testing.proxy import HypProxy
+
+        handle = HypProxy(machine).create_vm()
+        per_vm = [f"{c.key}:{handle}" for c in components() if c.per_vm]
+        assert list(machine.checker.committed) == static + per_vm
+
+    def test_toy_component_is_hooked_and_checked(self, monkeypatch):
+        toy = Component("toy", "toy_lock", f"{__name__}:record_toy")
+        iommu = SUBSYSTEMS[-1]
+        monkeypatch.setattr(
+            registry,
+            "SUBSYSTEMS",
+            SUBSYSTEMS[:-1]
+            + (dataclasses.replace(iommu, components=iommu.components + (toy,)),),
+        )
+        machine = Machine(ghost=False)
+        lock = machine.pkvm.toy_lock = HypSpinLock("toy")
+        machine.pkvm.toy_value = 1
+        checker = GhostChecker(machine)
+        checker.attach()
+        assert len(lock.on_acquire) == len(lock.on_release) == 1
+        assert checker.committed["toy"] == 1
+
+        # Changed under the lock: the release commits the new value.
+        lock.acquire(0)
+        machine.pkvm.toy_value = 2
+        lock.release(0)
+        assert checker.committed["toy"] == 2
+
+        # Changed outside the lock: the next acquire reports it.
+        machine.pkvm.toy_value = 3
+        with pytest.raises(SpecViolation, match="non-interference"):
+            lock.acquire(0)
+        assert checker.violations[-1].component == "toy"
+
+    def test_checker_names_no_toy_component(self):
+        assert "toy" not in Path(ghost_checker.__file__).read_text()
