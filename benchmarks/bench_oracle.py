@@ -6,12 +6,16 @@ check. This repository's incremental oracle (write journal +
 footprint-invalidated abstraction cache + word-diff re-interpretation,
 ``docs/ORACLE.md``) amortises that: the claim measured here is that the
 *checked* handwritten suite runs ≥ 3× faster with the cache than on the
-pre-refactor full-recompute path (``oracle_cache=False``), with
-identical verdicts, and that paranoid mode — which recomputes every
+full-recompute path, with identical verdicts, and that paranoid mode — which recomputes every
 cached result from scratch and asserts equality — passes over the whole
 suite. The long-horizon row drives one machine for 2000 steps and
 gates per-window cost to grow no faster than the host stage 2's maplet
 count: the oracle's per-step cost stays linear in state as it ages.
+
+The full-recompute rows patch :meth:`AbstractionCache.record` for the
+duration of one measurement so every record re-walks its whole tree from
+scratch — the same ``interpret(None)`` traversal paranoid mode uses as
+its reference. The oracle has no production switch for this.
 
 Every measurement also lands in ``BENCH_oracle.json`` (repo root), which
 CI uploads as a workflow artifact.
@@ -19,12 +23,14 @@ CI uploads as a workflow artifact.
 
 import json
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 from repro.arch.defs import Stage
 from repro.ghost.abstraction import interpret_pgtable
+from repro.ghost.cache import AbstractionCache
 from repro.machine import Machine
 from repro.testing.handwritten import ALL_TESTS
 from repro.testing.harness import make_machine, run_tests
@@ -45,6 +51,18 @@ def _merge_results(update: dict) -> None:
     RESULTS_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
+@contextmanager
+def _full_recompute():
+    """Every abstraction record re-walks its whole tree (no cache)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            AbstractionCache,
+            "record",
+            lambda self, key, root, interpret: interpret(None),
+        )
+        yield
+
+
 def _run_suite(**kwargs) -> float:
     start = time.perf_counter()
     results = run_tests(ALL_TESTS, **kwargs)
@@ -57,8 +75,9 @@ def bench_oracle_suite_speedup(benchmark):
     """The headline: checked handwritten suite, cache on vs cache off."""
 
     def measure():
-        off = _run_suite(oracle_cache=False)
-        on = _run_suite(oracle_cache=True)
+        with _full_recompute():
+            off = _run_suite()
+        on = _run_suite()
         return on, off
 
     on, off = benchmark.pedantic(measure, rounds=1, iterations=1)
@@ -87,17 +106,16 @@ def bench_oracle_suite_speedup(benchmark):
 def bench_oracle_checked_boot(benchmark):
     """Boot with the oracle off / on-incremental / on-full-recompute."""
 
-    def boot(ghost, **kwargs):
+    def boot(ghost):
         start = time.perf_counter()
-        Machine(ghost=ghost, **kwargs)
+        Machine(ghost=ghost)
         return time.perf_counter() - start
 
     def measure():
-        return (
-            boot(False),
-            boot(True, oracle_cache=True),
-            boot(True, oracle_cache=False),
-        )
+        unchecked, cached = boot(False), boot(True)
+        with _full_recompute():
+            uncached = boot(True)
+        return unchecked, cached, uncached
 
     unchecked, cached, uncached = benchmark.pedantic(
         measure, rounds=1, iterations=1
@@ -124,8 +142,8 @@ def bench_oracle_campaign_throughput(benchmark):
     throughput is the whole point of making the oracle incremental)."""
     steps = 600
 
-    def campaign(oracle_cache):
-        machine = make_machine(ghost=True, oracle_cache=oracle_cache)
+    def campaign():
+        machine = make_machine(ghost=True)
         tester = RandomTester(machine, seed=13)
         start = time.perf_counter()
         tester.run(steps)
@@ -140,8 +158,9 @@ def bench_oracle_campaign_throughput(benchmark):
         return calls * 3600.0 / elapsed, counters
 
     def measure():
-        off, _ = campaign(False)
-        on, stats = campaign(True)
+        with _full_recompute():
+            off, _ = campaign()
+        on, stats = campaign()
         return off, on, stats
 
     off, on, stats = benchmark.pedantic(measure, rounds=1, iterations=1)
@@ -177,7 +196,7 @@ def bench_oracle_paranoid_suite(benchmark):
     from scratch, assert equality) passes the full handwritten suite."""
 
     def measure():
-        return _run_suite(oracle_cache=True, paranoid=True)
+        return _run_suite(paranoid=True)
 
     elapsed = benchmark.pedantic(measure, rounds=1, iterations=1)
     report(
@@ -204,10 +223,10 @@ def _host_maplets(machine) -> int:
     return len(interpret_pgtable(machine.mem, root, Stage.STAGE2).mapping)
 
 
-def _long_horizon(oracle_cache: bool) -> list[dict]:
+def _long_horizon() -> list[dict]:
     """One machine aged ``LONG_STEPS`` steps: per-window seconds and the
     host stage 2's maplet count at each window's end."""
-    machine = make_machine(ghost=True, oracle_cache=oracle_cache)
+    machine = make_machine(ghost=True)
     tester = RandomTester(machine, seed=1, profile="all")
     windows = []
     for _ in range(LONG_STEPS // LONG_WINDOW):
@@ -242,8 +261,10 @@ def bench_oracle_long_horizon(benchmark):
     entries rather than host maplets."""
 
     def measure():
-        on = _fastest([_long_horizon(True) for _ in range(LONG_REPEATS)])
-        return on, _long_horizon(False)
+        on = _fastest([_long_horizon() for _ in range(LONG_REPEATS)])
+        with _full_recompute():
+            off = _long_horizon()
+        return on, off
 
     on, off = benchmark.pedantic(measure, rounds=1, iterations=1)
     growth = on[-1]["host_maplets"] / on[0]["host_maplets"]

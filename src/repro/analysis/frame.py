@@ -34,10 +34,10 @@ handwritten tier-1 suite and a short seeded random campaign, every
 observed diff (and every ``SpecResult.touched`` claim) must stay inside
 the declared write frame: an over-reaching implementation *or* an
 under-declared manifest both fail the build (``dynamic-frame-escape``,
-``touched-outside-manifest``). The same replay is then repeated with the
-incremental abstraction cache disabled and the two observation streams
-must match exactly (``cache-divergent-observation``) — a stale cached
-abstraction must never be able to mask a frame violation.
+``touched-outside-manifest``). The replay runs in paranoid mode, which
+recomputes every cached abstraction from scratch and compares: a stale
+cached abstraction must never be able to mask a frame violation
+(``cache-divergent-observation``).
 
 The inference is pragmatic in the same sense as the purity linter:
 attribute/subscript chains and view methods (``get``/``lookup``/…)
@@ -707,45 +707,49 @@ def _collect_observations(
     suite: bool,
     random_steps: int,
     seed: int,
-    oracle_cache: bool = True,
-) -> list[tuple[str, object]]:
-    """Replay the handwritten suite and/or a seeded random campaign with
-    the checker's frame hook attached, collecting every
-    :class:`~repro.ghost.checker.FrameObservation` in replay order."""
+) -> tuple[list[tuple[str, object]], list[tuple[str, Exception]]]:
+    """Replay the handwritten suite and/or a seeded random campaign on
+    paranoid machines with the checker's frame hook attached.
+
+    Returns every :class:`~repro.ghost.checker.FrameObservation` in
+    replay order, plus the ``(origin, error)`` of each replay a
+    :class:`~repro.ghost.cache.ParanoidMismatchError` aborted: a cached
+    abstraction that disagreed with its from-scratch recompute."""
+    from repro.ghost.cache import ParanoidMismatchError
+    from repro.testing.harness import make_machine
+
     observations: list[tuple[str, object]] = []
+    mismatches: list[tuple[str, Exception]] = []
+
+    def replay(origin: str, machine, body) -> None:
+        sink: list = []
+        machine.checker.frame_hook = sink.append
+        try:
+            body(machine)
+        except ParanoidMismatchError as exc:
+            mismatches.append((origin, exc))
+        except Exception:  # noqa: BLE001 — outcomes are the harness's beat
+            pass
+        observations.extend((origin, obs) for obs in sink)
 
     if suite:
         from repro.testing.handwritten import ALL_TESTS
-        from repro.testing.harness import make_machine
         from repro.testing.proxy import HypProxy
 
         for test in ALL_TESTS:
             machine = make_machine(
-                ghost=True, oracle_cache=oracle_cache, **test.machine_kwargs
+                ghost=True, paranoid=True, **test.machine_kwargs
             )
-            sink: list = []
-            machine.checker.frame_hook = sink.append
-            try:
-                test.body(HypProxy(machine))
-            except Exception:  # noqa: BLE001 — outcomes are the harness's beat
-                pass
-            observations.extend((test.name, obs) for obs in sink)
+            replay(test.name, machine, lambda m: test.body(HypProxy(m)))
     if random_steps > 0:
-        from repro.testing.harness import make_machine
         from repro.testing.random_tester import RandomTester
 
-        machine = make_machine(ghost=True, oracle_cache=oracle_cache)
-        sink = []
-        machine.checker.frame_hook = sink.append
-        tester = RandomTester(machine, seed=seed)
-        try:
-            tester.run(random_steps)
-        except Exception:  # noqa: BLE001
-            pass
-        observations.extend(
-            (f"random[seed={seed}]", obs) for obs in sink
+        replay(
+            f"random[seed={seed}]",
+            make_machine(ghost=True, paranoid=True),
+            lambda m: RandomTester(m, seed=seed).run(random_steps),
         )
-    return observations
+    return observations, mismatches
 
 
 def cross_validate_frames(
@@ -757,12 +761,17 @@ def cross_validate_frames(
     """Replay the handwritten suite (and a short seeded random campaign)
     with the checker's frame hook attached; every observed ghost diff and
     every ``SpecResult.touched`` claim must stay inside the declared
-    write frame of the spec that ran."""
+    write frame of the spec that ran.
+
+    The replay runs in paranoid mode, so every cached abstraction is
+    also compared with its from-scratch recompute: a stale one, which
+    could swallow a diff and mask a frame violation, is reported as
+    ``cache-divergent-observation``."""
     from repro.ghost.registry import merged_frame_manifests
 
     FRAME_MANIFESTS = merged_frame_manifests()
 
-    observations = _collect_observations(
+    observations, mismatches = _collect_observations(
         suite=suite, random_steps=random_steps, seed=seed
     )
 
@@ -784,6 +793,12 @@ def cross_validate_frames(
             )
         )
 
+    for origin, exc in mismatches:
+        report(
+            "cache-divergent-observation",
+            f"oracle cache served a stale abstraction (in {origin}): {exc}",
+            origin,
+        )
     for origin, obs in observations:
         if not obs.spec_name:
             continue
@@ -817,65 +832,6 @@ def cross_validate_frames(
     return findings
 
 
-def check_cache_equivalence(
-    *,
-    suite: bool = True,
-    random_steps: int = 200,
-    seed: int = 0,
-) -> list[Finding]:
-    """The replay must be oracle-cache-invariant.
-
-    The incremental abstraction cache (:mod:`repro.ghost.cache`) is pure
-    plumbing: it must never change *what* the oracle observes, only how
-    fast. A cache bug that served a stale abstraction could mask a frame
-    violation (the stale pre would swallow the diff), so this rule runs
-    the same deterministic replay twice — cache enabled and disabled —
-    and demands the two :class:`~repro.ghost.checker.FrameObservation`
-    streams be identical, observation for observation.
-    """
-    with_cache = _collect_observations(
-        suite=suite, random_steps=random_steps, seed=seed, oracle_cache=True
-    )
-    without_cache = _collect_observations(
-        suite=suite, random_steps=random_steps, seed=seed, oracle_cache=False
-    )
-    findings: list[Finding] = []
-
-    def report(message: str, function: str = "") -> None:
-        findings.append(
-            Finding(
-                analysis="frame",
-                rule="cache-divergent-observation",
-                message=message,
-                file="<dynamic>",
-                function=function,
-            )
-        )
-
-    if len(with_cache) != len(without_cache):
-        report(
-            f"oracle cache changes the number of frame observations: "
-            f"{len(with_cache)} with the cache vs "
-            f"{len(without_cache)} without"
-        )
-    reported = 0
-    for (origin_on, obs_on), (origin_off, obs_off) in zip(
-        with_cache, without_cache
-    ):
-        if origin_on == origin_off and obs_on == obs_off:
-            continue
-        report(
-            f"frame observation diverges with the oracle cache enabled: "
-            f"cached ({origin_on}) {obs_on!r} != "
-            f"uncached ({origin_off}) {obs_off!r}",
-            getattr(obs_on, "spec_name", ""),
-        )
-        reported += 1
-        if reported >= 5:  # the first few divergences tell the story
-            break
-    return findings
-
-
 def run_frame_pass(
     source_path: str | Path | None = None,
     *,
@@ -884,15 +840,12 @@ def run_frame_pass(
     seed: int = 0,
 ) -> list[Finding]:
     """The full pass: static inference + (on the real tree) the dynamic
-    cross-validation and the cache-equivalence replay. ``--spec-module``
-    targets skip the dynamic half — an unmerged spec file has no machine
-    to replay."""
+    cross-validation, one paranoid replay that also checks the oracle
+    cache. ``--spec-module`` targets skip the dynamic half — an unmerged
+    spec file has no machine to replay."""
     findings = check_frames(source_path)
     if dynamic and source_path is None:
         findings.extend(
             cross_validate_frames(random_steps=random_steps, seed=seed)
-        )
-        findings.extend(
-            check_cache_equivalence(random_steps=random_steps, seed=seed)
         )
     return findings

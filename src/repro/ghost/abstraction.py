@@ -123,6 +123,15 @@ def _subtree_clean(mem, entry, dirty_cache: dict) -> bool:
     return True
 
 
+def _claim_pages(phys: set[int], child_phys: frozenset[int]) -> None:
+    """Add a child subtree's table pages to ``phys``; a page already in
+    it is shared between subtrees, which the walker must never see."""
+    dup = phys & child_phys
+    if dup:
+        raise AbstractionError(f"table page {min(dup):#x} reached twice")
+    phys |= child_phys
+
+
 def _interpret_table(
     mem: PhysicalMemory,
     table_pa: int,
@@ -180,12 +189,7 @@ def _interpret_table(
             child_maplets, child_phys = _interpret_table(
                 mem, pte.oa, level + 1, va, stage, memo, path, dirty_cache
             )
-            dup = phys & child_phys
-            if dup:
-                raise AbstractionError(
-                    f"table page {sorted(dup)[0]:#x} reached twice"
-                )
-            phys |= child_phys
+            _claim_pages(phys, child_phys)
             for m in child_maplets:
                 segment.extend_coalesce(m.va, m.nr_pages, m.target)
         elif pte.kind is EntryKind.INVALID_ANNOTATED:
@@ -248,63 +252,33 @@ def _rescan_table(
     children = dict(entry.children)
     phys = {table_pa}
 
-    def splice_child(child_pa: int, va: int) -> None:
-        child_maplets, child_phys = _interpret_table(
-            mem, child_pa, level + 1, va, stage, memo, path, dirty_cache
-        )
-        dup = phys & child_phys
-        if dup:
-            raise AbstractionError(
-                f"table page {sorted(dup)[0]:#x} reached twice"
-            )
-        phys.update(child_phys)
-        seg.splice(va, nr_pages, child_maplets)
-
+    # The page-equality test is cheap next to the per-word diff, and an
+    # untouched page (only descendants moved) is the common case.
     if words == old_words:
-        # The page itself is untouched: only descendants can have moved.
-        for idx, child_pa in entry.children.items():
-            va = va_partial | (idx * entry_size)
-            child_entry = memo.get((child_pa, level + 1, va))
-            if child_entry is not None and _subtree_clean(
-                mem, child_entry, dirty_cache
-            ):
-                dup = phys & child_entry.phys
-                if dup:
-                    raise AbstractionError(
-                        f"table page {sorted(dup)[0]:#x} reached twice"
-                    )
-                phys.update(child_entry.phys)
-                continue
-            splice_child(child_pa, va)
+        changed: set[int] = set()
     else:
         changed = {
             idx
             for idx in words.keys() | old_words.keys()
             if words.get(idx) != old_words.get(idx)
         }
-        # Unchanged leaf/invalid entries keep their contribution: visit
-        # only the changed entries and the (possibly dirty) children.
-        for idx in sorted(changed | children.keys()):
-            raw = words.get(idx, 0)
-            va = va_partial | (idx * entry_size)
-            if idx not in changed:
-                child_pa = children[idx]
-                child_entry = memo.get((child_pa, level + 1, va))
-                if child_entry is not None and _subtree_clean(
-                    mem, child_entry, dirty_cache
-                ):
-                    dup = phys & child_entry.phys
-                    if dup:
-                        raise AbstractionError(
-                            f"table page {sorted(dup)[0]:#x} reached twice"
-                        )
-                    phys.update(child_entry.phys)
-                    continue
-                splice_child(child_pa, va)
+    # Unchanged leaf/invalid entries keep their contribution: visit only
+    # the changed entries and the (possibly dirty) children.
+    for idx in sorted(changed | children.keys()):
+        va = va_partial | (idx * entry_size)
+        if idx not in changed:
+            child_pa = children[idx]
+            child_entry = memo.get((child_pa, level + 1, va))
+            if child_entry is not None and _subtree_clean(
+                mem, child_entry, dirty_cache
+            ):
+                _claim_pages(phys, child_entry.phys)
                 continue
+        else:
             # The word changed: replace the old contribution of this
             # entry's whole input-address span with the new descriptor's.
             children.pop(idx, None)
+            raw = words.get(idx, 0)
             if raw == 0:
                 seg.splice(va, nr_pages)
                 continue
@@ -315,19 +289,25 @@ def _rescan_table(
                     f"malformed descriptor {raw:#x} at {table_pa:#x}[{idx}] "
                     f"(level {level}, {stage.name}): {exc}"
                 ) from exc
-            if pte.kind is EntryKind.TABLE:
-                children[idx] = pte.oa
-                splice_child(pte.oa, va)
-            elif pte.kind is EntryKind.INVALID_ANNOTATED:
-                target = MapletTarget.annotated(pte.owner_id)
+            if pte.kind is not EntryKind.TABLE:
+                if pte.kind is EntryKind.INVALID_ANNOTATED:
+                    target = MapletTarget.annotated(pte.owner_id)
+                elif pte.kind.is_leaf:
+                    target = MapletTarget.mapped(
+                        pte.oa, pte.perms, pte.memtype, pte.page_state
+                    )
+                else:  # plain invalid: contributes nothing
+                    seg.splice(va, nr_pages)
+                    continue
                 seg.splice(va, nr_pages, (Maplet(va, nr_pages, target),))
-            elif pte.kind.is_leaf:
-                target = MapletTarget.mapped(
-                    pte.oa, pte.perms, pte.memtype, pte.page_state
-                )
-                seg.splice(va, nr_pages, (Maplet(va, nr_pages, target),))
-            else:
-                seg.splice(va, nr_pages)  # plain invalid: contributes nothing
+                continue
+            child_pa = children[idx] = pte.oa
+        # A new table entry, or a dirty child subtree: re-interpret it.
+        child_maplets, child_phys = _interpret_table(
+            mem, child_pa, level + 1, va, stage, memo, path, dirty_cache
+        )
+        _claim_pages(phys, child_phys)
+        seg.splice(va, nr_pages, child_maplets)
     path.discard(table_pa)
     # Update the entry in place only once the whole subtree succeeded: an
     # AbstractionError above leaves the old (still self-consistent)

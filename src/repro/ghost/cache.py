@@ -42,7 +42,6 @@ class _Entry:
     epoch: int
     pfns: frozenset[int]
     value: object
-    footprint: frozenset[int]
     #: Per-subtree memoisation for :func:`interpret_pgtable`, keyed by
     #: (table_pa, level, va_partial) -> ``_MemoEntry``. Entries are
     #: self-validating (each carries its own epoch and word snapshot), so
@@ -76,12 +75,10 @@ class AbstractionCache:
         self,
         mem: PhysicalMemory,
         *,
-        enabled: bool = True,
         paranoid: bool = False,
         obs=None,
     ):
         self.mem = mem
-        self.enabled = enabled
         self.paranoid = paranoid
         #: The machine's :class:`repro.obs.Observability` bundle (flight
         #: recorder + tracer); a direct-constructed cache gets metrics of
@@ -108,8 +105,6 @@ class AbstractionCache:
         interpret: Callable[[dict | None], object],
     ):
         """The cached-abstraction entry point used by checker recorders."""
-        if not self.enabled:
-            return interpret(None)
         epoch = self.mem.epoch
         memo: dict = {}
         entry = self._entries.get(key)
@@ -157,14 +152,12 @@ class AbstractionCache:
         except BaseException:
             memo.clear()
             raise
-        footprint = value.footprint
         frozen = value.freeze() if hasattr(value, "freeze") else value
         entry = _Entry(
             root=root,
             epoch=epoch,
-            pfns=frozenset(pa >> PAGE_SHIFT for pa in footprint),
+            pfns=frozenset(pa >> PAGE_SHIFT for pa in frozen.footprint),
             value=frozen,
-            footprint=footprint,
             memo=memo,
         )
         if self.paranoid:
@@ -174,19 +167,10 @@ class AbstractionCache:
         self._maybe_trim()
         return frozen
 
-    def footprint_of(self, key: str) -> frozenset[int] | None:
-        """The cached footprint (physical table-page addresses) for a key."""
-        entry = self._entries.get(key)
-        return entry.footprint if entry is not None else None
-
     def drop(self, key: str) -> None:
         """Forget one entry (e.g. a torn-down VM's stage 2)."""
         self._entries.pop(key, None)
         self._entries_gauge.set(len(self._entries))
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._entries_gauge.set(0)
 
     def _paranoid_check(self, key, entry, interpret) -> None:
         # Recompute with no memo at all: a full from-scratch traversal,
@@ -203,12 +187,12 @@ class AbstractionCache:
                 f"cached:     {entry.value!r}\n"
                 f"recomputed: {fresh_value!r}"
             )
-        if fresh_footprint != entry.footprint:
+        if fresh_footprint != entry.value.footprint:
             self._flight_dump_paranoid(key, entry, "footprint changed")
             raise ParanoidMismatchError(
                 f"cache entry {key!r} (root {entry.root:#x}): footprint "
                 f"changed without an intersecting journaled write: "
-                f"cached {sorted(entry.footprint)} != "
+                f"cached {sorted(entry.value.footprint)} != "
                 f"recomputed {sorted(fresh_footprint)}"
             )
 

@@ -43,7 +43,7 @@ from repro.ghost.abstraction import (
 from repro.arch.defs import Stage
 from repro.arch.pte import PageState
 from repro.ghost.arena import arena
-from repro.ghost.cache import AbstractionCache
+from repro.ghost.cache import AbstractionCache, ParanoidMismatchError
 from repro.ghost.calldata import GhostCallData
 from repro.ghost.diff import diff_components
 from repro.ghost.registry import components, resolve
@@ -107,8 +107,9 @@ class GhostCallRecord:
     #: Components whose lock was taken or released more than once — the
     #: "phased" cases whose check is skipped.
     multiphase: set[str] = field(default_factory=set)
-    #: Set when a fail-fast violation already fired mid-handler, so the
-    #: exit-time check must not mask the original exception with another.
+    #: Set when a fail-fast violation or a paranoid mismatch already fired
+    #: mid-handler, so the exit-time check must not mask the original
+    #: exception with another.
     aborted: bool = False
 
 
@@ -200,7 +201,6 @@ class GhostChecker:
         *,
         fail_fast: bool = True,
         loose_host: bool = True,
-        oracle_cache: bool = True,
         paranoid: bool = False,
     ):
         self.machine = machine
@@ -213,12 +213,9 @@ class GhostChecker:
         #: (dumped on any violation).
         self.obs: Observability = getattr(machine, "obs", None) or Observability()
         #: Incremental abstraction cache (invalidation by footprint).
-        #: ``oracle_cache=False`` restores the pre-refactor full-recompute
-        #: path; ``paranoid=True`` recomputes every hit and asserts the
-        #: cached value matches (debug mode, loud on divergence).
-        self.cache = AbstractionCache(
-            machine.mem, enabled=oracle_cache, paranoid=paranoid, obs=self.obs
-        )
+        #: ``paranoid=True`` recomputes every hit and asserts the cached
+        #: value matches (debug mode, loud on divergence).
+        self.cache = AbstractionCache(machine.mem, paranoid=paranoid, obs=self.obs)
         metrics = self.obs.metrics
         self._m_checks_run = metrics.counter("oracle_checks_run")
         self._m_checks_passed = metrics.counter("oracle_checks_passed")
@@ -354,14 +351,26 @@ class GhostChecker:
 
     # -- lock hooks -------------------------------------------------------
 
-    def _on_acquire(self, key: str, recorder, cpu_index: int) -> None:
+    def _snapshot(self, key: str, recorder, cpu_index: int, at: str):
+        """Record one component at a lock edge; None if it is malformed."""
         try:
             with self.obs.tracer.span(
-                f"oracle:record:{key}", "oracle", tid=cpu_index, at="acquire"
+                f"oracle:record:{key}", "oracle", tid=cpu_index, at=at
             ):
-                snapshot = recorder()
+                return recorder()
         except AbstractionError as exc:
             self._report("abstraction", str(exc), component=key)
+            return None
+        except ParanoidMismatchError:
+            # An oracle fault, not a hypervisor one: the handler's
+            # half-recorded post must not be checked, or the exit-time
+            # check would mask this error with a bogus violation.
+            self._abort_in_flight()
+            raise
+
+    def _on_acquire(self, key: str, recorder, cpu_index: int) -> None:
+        snapshot = self._snapshot(key, recorder, cpu_index, "acquire")
+        if snapshot is None:
             return
         committed = self.committed.get(key)
         if committed is not None and committed != snapshot:
@@ -384,13 +393,8 @@ class GhostChecker:
             record.pre[key] = snapshot
 
     def _on_release(self, key: str, recorder, cpu_index: int) -> None:
-        try:
-            with self.obs.tracer.span(
-                f"oracle:record:{key}", "oracle", tid=cpu_index, at="release"
-            ):
-                snapshot = recorder()
-        except AbstractionError as exc:
-            self._report("abstraction", str(exc), component=key)
+        snapshot = self._snapshot(key, recorder, cpu_index, "release")
+        if snapshot is None:
             return
         if self.committed.get(key) is not snapshot:
             self._isolation_clean = False
@@ -745,6 +749,11 @@ class GhostChecker:
         if self.console is not None and not self.console.lock.held:
             self.console.print_violation(violation)
         if self.fail_fast:
-            for record in self._records.values():
-                record.aborted = True
+            self._abort_in_flight()
             raise SpecViolation(kind, detail)
+
+    def _abort_in_flight(self) -> None:
+        """An exception is about to unwind the running handlers: their
+        exit-time checks must not mask it with a second one."""
+        for record in self._records.values():
+            record.aborted = True

@@ -36,7 +36,6 @@ class Machine:
         ghost: bool = True,
         carveout_pages: int = 1024,
         memory_map: list[MemoryRegion] | None = None,
-        oracle_cache: bool = True,
         paranoid: bool = False,
         obs: Observability | None = None,
     ):
@@ -70,9 +69,7 @@ class Machine:
             if ghost:
                 from repro.ghost.checker import GhostChecker
 
-                self.checker = GhostChecker(
-                    self, oracle_cache=oracle_cache, paranoid=paranoid
-                )
+                self.checker = GhostChecker(self, paranoid=paranoid)
                 self.checker.attach()
         self.boot_seconds = time.perf_counter() - started
         # "last" merge mode: the fleet-level value is the most recent
@@ -96,9 +93,8 @@ class Machine:
             "ghost": self.ghost_enabled,
         }
         if self.checker is not None:
-            # Cache *settings* round-trip; the cache contents themselves
-            # are per-machine and rebuilt from scratch on boot.
-            config["oracle_cache"] = self.checker.cache.enabled
+            # The paranoid *setting* round-trips; the cache contents are
+            # per-machine and rebuilt from scratch on boot.
             config["paranoid"] = self.checker.cache.paranoid
         return config
 
@@ -120,7 +116,6 @@ class Machine:
             dram_size=config.get("dram_size", 256 * 1024 * 1024),
             bugs=bugs,
             ghost=config.get("ghost", True),
-            oracle_cache=config.get("oracle_cache", True),
             paranoid=config.get("paranoid", False),
             obs=obs,
         )

@@ -126,14 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         "and assert it matches the incremental result",
     )
     parser.add_argument(
-        "--no-oracle-cache",
-        dest="oracle_cache",
-        action="store_false",
-        default=True,
-        help="disable the incremental abstraction cache (the pre-refactor "
-        "full-recompute oracle path)",
-    )
-    parser.add_argument(
         "--trace-out",
         default=None,
         metavar="FILE",
@@ -271,7 +263,6 @@ def main(argv: list[str] | None = None) -> int:
             max_findings=args.max_findings,
             max_batches=args.max_batches,
             time_limit=args.time_limit,
-            oracle_cache=args.oracle_cache,
             paranoid=args.paranoid,
             trace_out=args.trace_out,
             metrics_out=args.metrics_out,

@@ -86,9 +86,7 @@ class CampaignConfig:
     #: Wall-clock cap in seconds.
     time_limit: float | None = None
     max_factor: int = 4
-    #: Oracle toggles: ``oracle_cache=False`` restores the full-recompute
-    #: path; ``paranoid=True`` recomputes every cache hit and asserts it.
-    oracle_cache: bool = True
+    #: ``paranoid=True`` recomputes every oracle cache hit and asserts it.
     paranoid: bool = False
     #: Observability: a merged Chrome trace_event file (workers render as
     #: parallel pid tracks), a merged metrics JSON, and the per-worker
@@ -135,7 +133,6 @@ class CampaignConfig:
             "dram_size": self.dram_size,
             "bug_names": tuple(self.bug_names),
             "ghost": not concurrency,
-            "oracle_cache": self.oracle_cache,
             "paranoid": self.paranoid,
         }
 
@@ -159,7 +156,6 @@ class CampaignConfig:
             "max_batches": self.max_batches,
             "time_limit": self.time_limit,
             "max_factor": self.max_factor,
-            "oracle_cache": self.oracle_cache,
             "paranoid": self.paranoid,
             "trace_out": self.trace_out,
             "metrics_out": self.metrics_out,
@@ -175,6 +171,10 @@ class CampaignConfig:
     def from_jsonable(data: dict) -> "CampaignConfig":
         data = dict(data)
         data["bug_names"] = tuple(data.get("bug_names", ()))
+        # Retired cache toggle: checkpoints written while the oracle could
+        # run uncached still carry it. Paranoid mode pins cached verdicts
+        # to the full-recompute ones, so dropping it changes no result.
+        data.pop("oracle_cache", None)
         return CampaignConfig(**data)
 
 

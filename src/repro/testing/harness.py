@@ -72,7 +72,6 @@ def run_one(
     *,
     ghost: bool = True,
     bugs: Bugs | None = None,
-    oracle_cache: bool = True,
     paranoid: bool = False,
     obs: Observability | None = None,
 ) -> TestResult:
@@ -87,7 +86,6 @@ def run_one(
         machine = make_machine(
             ghost=ghost,
             bugs=bugs,
-            oracle_cache=oracle_cache,
             paranoid=paranoid,
             obs=obs,
             **test.machine_kwargs,
@@ -131,7 +129,6 @@ def run_tests(
     *,
     ghost: bool = True,
     bugs: Bugs | None = None,
-    oracle_cache: bool = True,
     paranoid: bool = False,
     obs: Observability | None = None,
     serve_telemetry: str | None = None,
@@ -161,7 +158,6 @@ def run_tests(
                 t,
                 ghost=ghost,
                 bugs=bugs,
-                oracle_cache=oracle_cache,
                 paranoid=paranoid,
                 obs=obs,
             )

@@ -566,12 +566,9 @@ def run_campaign(
     ghost: bool = True,
     bugs=None,
     guided: bool = True,
-    oracle_cache: bool = True,
     paranoid: bool = False,
 ) -> RandomRunStats:
     """One random-testing campaign on a fresh machine."""
-    machine = Machine(
-        ghost=ghost, bugs=bugs, oracle_cache=oracle_cache, paranoid=paranoid
-    )
+    machine = Machine(ghost=ghost, bugs=bugs, paranoid=paranoid)
     tester = RandomTester(machine, seed=seed, guided=guided)
     return tester.run(steps)

@@ -141,3 +141,20 @@ class TestDynamicCrossValidation:
     def test_spec_module_target_skips_the_dynamic_half(self):
         findings = run_frame_pass(FIXTURE, dynamic=True, random_steps=10)
         assert all(f.file != "<dynamic>" for f in findings)
+
+    def test_a_journal_that_forgets_writes_is_caught(self, monkeypatch):
+        # With no journaled writes every cached abstraction looks clean,
+        # so the cache serves stale trees; the paranoid replay must
+        # report that rather than let the replay's error handling
+        # swallow it.
+        from repro.arch.memory import PhysicalMemory
+
+        monkeypatch.setattr(
+            PhysicalMemory, "writes_since", lambda self, since: frozenset()
+        )
+        findings = cross_validate_frames(suite=False, random_steps=60, seed=7)
+        divergent = [
+            f for f in findings if f.rule == "cache-divergent-observation"
+        ]
+        assert divergent
+        assert "random[seed=7]" in divergent[0].message

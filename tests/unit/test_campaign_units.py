@@ -8,6 +8,7 @@ from repro.testing.campaign.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from repro.testing.campaign.engine import CampaignConfig
 from repro.testing.campaign.findings import (
     DedupIndex,
     RawFinding,
@@ -152,3 +153,13 @@ class TestCheckpointFile:
         save_checkpoint(path, {"version": 999})
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
+
+
+class TestCampaignConfig:
+    def test_resumes_a_config_with_the_retired_cache_toggle(self):
+        # Checkpoints written while the oracle cache could be turned off
+        # still carry the toggle; it is dropped on load.
+        data = CampaignConfig(seed=3).to_jsonable()
+        data["oracle_cache"] = False
+        config = CampaignConfig.from_jsonable(data)
+        assert config == CampaignConfig(seed=3)

@@ -96,14 +96,6 @@ class TestHitAndInvalidation:
         with pytest.raises(MappingError, match="frozen"):
             value.mapping.insert(0, 1, MapletTarget.annotated(1))
 
-    def test_disabled_cache_always_recomputes(self, pgt):
-        cache = AbstractionCache(pgt.mem, enabled=False)
-        first = cache.record("t", pgt.root, compute_for(pgt))
-        second = cache.record("t", pgt.root, compute_for(pgt))
-        assert first is not second
-        assert first == second
-        assert count(cache, "hits") == 0
-
 
 class TestIncrementalEquivalence:
     def test_mutation_sequence_tracks_fresh_interpretation(self, pgt):
@@ -179,6 +171,23 @@ class TestErrorPaths:
         with pytest.raises(ParanoidMismatchError):
             cache.record("t", pgt.root, compute_for(pgt))
 
+    def test_paranoid_mismatch_inside_a_handler_is_not_masked(
+        self, monkeypatch
+    ):
+        """A mismatch at a lock release inside a hypercall must reach the
+        caller as itself, not as the exit-time check's bogus violation
+        over the half-recorded post."""
+        from repro.machine import Machine
+        from repro.testing.proxy import HypProxy
+
+        proxy = HypProxy(Machine(paranoid=True))
+        page = proxy.alloc_page()
+        monkeypatch.setattr(
+            PhysicalMemory, "writes_since", lambda self, since: frozenset()
+        )
+        with pytest.raises(ParanoidMismatchError):
+            proxy.share_page(page)
+
     def test_paranoid_passes_on_honest_traffic(self, pgt):
         cache = AbstractionCache(pgt.mem, paranoid=True)
         map_range(pgt, 0x1000, PAGE_SIZE, DRAM, RWX)
@@ -194,18 +203,21 @@ class TestObservability:
         cache = AbstractionCache(pgt.mem)
         cache.record("t", pgt.root, compute_for(pgt))
         cache.record("t", pgt.root, compute_for(pgt))
-        assert cache.enabled is True
         assert count(cache, "hits") == 1
         assert count(cache, "misses") == 1
         assert count(cache, "entries") == 1
 
-    def test_footprint_of_and_drop(self, pgt):
+    def test_drop_makes_the_next_record_a_miss(self, pgt):
         cache = AbstractionCache(pgt.mem)
         map_range(pgt, 0x1000, PAGE_SIZE, DRAM, RWX)
         cache.record("t", pgt.root, compute_for(pgt))
-        assert cache.footprint_of("t") == fresh(pgt).footprint
+        cache.record("u", pgt.root, compute_for(pgt))
+        assert count(cache, "entries") == 2
         cache.drop("t")
-        assert cache.footprint_of("t") is None
+        assert count(cache, "entries") == 1
+        value = cache.record("t", pgt.root, compute_for(pgt))
+        assert count(cache, "misses") == 3 and count(cache, "hits") == 0
+        assert value == fresh(pgt)
 
     def test_journal_trim_keeps_answers_exact(self, pgt):
         cache = AbstractionCache(pgt.mem)
